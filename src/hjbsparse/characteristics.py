@@ -97,20 +97,20 @@ class ControlProblem:
     def grid_coords(self, t0: float, x0: np.ndarray) -> np.ndarray:
         return np.concatenate([[t0], x0]) if self.time_in_grid else np.asarray(x0, dtype=float)
 
+    def spec(self) -> dict:
+        """JSON-ready {"id", "params"}; problems.problem_from_spec rebuilds the problem from it."""
+        return {"id": self.name, "params": {}}
+
 
 def _cols(x):
     x = np.asarray(x, dtype=float)
     return x[:, None] if x.ndim == 1 else x
 
 
-def assemble_bvp(problem: ControlProblem, t0: float, x0: np.ndarray, tol: float = 1e-8,
-                 initial_guess=None) -> BvpProblem:
+def assemble_bvp(problem: ControlProblem, t0: float, x0: np.ndarray, tol: float = 1e-8) -> BvpProblem:
     """Characteristic two-point BVP of dimension 2n+1 at one grid point.
 
     Cold start: x(s) = x0, lam(s) = h_x(x0)^T, z = 0 on an 11-node uniform mesh.
-    initial_guess (experimental, off by default everywhere) replaces the cold
-    start, e.g. to warm-start from a neighboring point's trajectory; the
-    default path never does this, preserving causality freedom.
     """
     x0 = np.asarray(x0, dtype=float)
     n = problem.n
@@ -133,8 +133,7 @@ def assemble_bvp(problem: ControlProblem, t0: float, x0: np.ndarray, tol: float 
             np.zeros((1, P)),
         ])
 
-    return BvpProblem(ndim=2 * n + 1, rhs=rhs, bc=bc, interval=(t0, problem.horizon),
-                      tol=tol, guess=initial_guess if initial_guess is not None else guess)
+    return BvpProblem(ndim=2 * n + 1, rhs=rhs, bc=bc, interval=(t0, problem.horizon), tol=tol, guess=guess)
 
 
 @dataclass
@@ -203,15 +202,32 @@ def solve_point(problem: ControlProblem, t0: float, x0: np.ndarray, tol: float =
 # Sweep
 # ---------------------------------------------------------------------------
 
-def _point_args(problem: ControlProblem, grid: SparseGrid):
+def point_args(problem: ControlProblem, points) -> list[tuple[float, np.ndarray]]:
+    """(t0, x0) of each physical grid-coordinate point; the inverse of ControlProblem.grid_coords."""
     if problem.time_in_grid:
-        return [(float(p[0]), p[1:]) for p in grid.phys]
-    return [(0.0, p) for p in grid.phys]
+        return [(float(p[0]), p[1:]) for p in points]
+    return [(0.0, p) for p in points]
 
 
 def _solve_chunk(args):
     problem, tol, items = args
     return [solve_point(problem, t0, x0, tol, point_id=pid) for pid, t0, x0 in items]
+
+
+def map_chunks(chunk_fn, problem: ControlProblem, tol: float, items: list, workers: int | None) -> list:
+    """chunk_fn((problem, tol, chunk)) over round-robin chunks of items on a process pool
+    (in-process for one worker or fewer than 4 items); one result per item, in item order."""
+    if workers is None:
+        workers = os.cpu_count() or 1
+    if workers <= 1 or len(items) < 4:
+        return chunk_fn((problem, tol, items))
+    nchunks = min(len(items), 4 * workers)
+    out = [None] * len(items)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        parts = pool.map(chunk_fn, [(problem, tol, items[i::nchunks]) for i in range(nchunks)])
+        for i, part in enumerate(parts):
+            out[i::nchunks] = part
+    return out
 
 
 @dataclass
@@ -291,25 +307,14 @@ def sweep(problem: ControlProblem, grid: SparseGrid, tol: float = 1e-8,
     """
     if problem.domain.as_json() != grid.domain.as_json():
         raise SweepError("grid domain does not match problem domain")
-    items = [(pid, t0, x0) for pid, (t0, x0) in enumerate(_point_args(problem, grid))]
-    if workers is None:
-        workers = os.cpu_count() or 1
-    if workers <= 1 or len(items) < 4:
-        records = _solve_chunk((problem, tol, items))
-    else:
-        nchunks = min(len(items), 4 * workers)
-        chunks = [items[i::nchunks] for i in range(nchunks)]
-        records = []
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(_solve_chunk, [(problem, tol, c) for c in chunks]):
-                records.extend(part)
-        records.sort(key=lambda r: r.point_id)
+    items = [(pid, t0, x0) for pid, (t0, x0) in enumerate(point_args(problem, grid.phys))]
+    records = map_chunks(_solve_chunk, problem, tol, items, workers)
 
     n_fail = sum(not r.converged for r in records)
     if n_fail > failure_threshold * len(records):
         raise SweepError(f"{n_fail}/{len(records)} grid points failed to solve")
     header = {
-        "problem": problem.name,
+        "problem": problem.spec(),
         "family": grid.family.value,
         "d": grid.d,
         "q": grid.q,
@@ -366,11 +371,3 @@ def fit_feedback(problem: ControlProblem, grid: SparseGrid, solution: GridSoluti
     lam = fit_hierarchical(grid, solution.costate_array(), mask=mask)
     return FeedbackLaw(problem=problem, grid=grid, value=v, costate=lam)
 
-
-def feedback(problem: ControlProblem, costate_interp: Interpolant, t: float, x: np.ndarray,
-             grid: SparseGrid | None = None) -> np.ndarray:
-    """u = u_star(t, x, interpolated costate); out-of-domain x raises."""
-    grid = grid if grid is not None else costate_interp.grid
-    ref = grid.domain.to_ref(problem.grid_coords(t, np.asarray(x, dtype=float)))
-    lam = np.asarray(costate_interp.eval(ref))
-    return np.asarray(problem.u_star(t, _cols(np.asarray(x, dtype=float)), _cols(lam)))[:, 0]

@@ -25,13 +25,13 @@ import numpy as np
 
 from . import __version__
 from .bvp import BvpProblem, empirical_order
-from .characteristics import fit_feedback, load_jsonl, sweep
+from .characteristics import fit_feedback, load_jsonl, point_args, sweep
 from .errors import coefficient_growth_check, mc_ebvp, worst_case_coefficient, validate
 from .exceptions import HjbSparseError
 from .grid import Box, NodeFamily, build_grid, dense_size, grid_size
 from .interp import fit_hierarchical
 from .mpc import HorizonMode, MpcConfig, emit_trajectory, simulate
-from .problems import make_problem
+from .problems import make_problem, problem_from_spec
 from .util import jsonable, sha256_file
 
 
@@ -103,7 +103,10 @@ def _load_config_file(path) -> dict:
     if path is None:
         return {}
     with open(path) as fh:
-        return json.load(fh)
+        cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise HjbSparseError(f"{path} must hold a JSON object")
+    return cfg
 
 
 def _resolve(run: _Run, flag_value, cfg: dict, key: str, default):
@@ -112,28 +115,14 @@ def _resolve(run: _Run, flag_value, cfg: dict, key: str, default):
     return value
 
 
-def _build_problem(args, run: _Run):
-    cfg_path = getattr(args, "problem_config", None)
-    problem = make_problem(args.problem, getattr(args, "domain_id", None) or "d1")
-    if cfg_path:
-        run.add_input(cfg_path)
-        with open(cfg_path) as fh:
-            over = json.load(fh)
-        from dataclasses import replace as dc_replace
-        params = problem.params
-        newp = dc_replace(
-            params,
-            B=np.array(over.get("B", params.B.tolist())),
-            J=np.array(over.get("J", params.J.tolist())),
-            H=np.array(over.get("H", params.H.tolist())),
-            W=tuple(over.get("W", params.W)),
-            T=float(over.get("T", params.T)),
-            domain=Box.from_json(over["domain"]) if "domain" in over else params.domain,
-        )
-        problem = type(problem)(params=newp, name=problem.name,
-                                terminal=problem.terminal, reachable=problem.reachable)
-    run.config["problem"] = problem.name
-    return problem
+def _load_dataset(args, run: _Run):
+    """The dataset's solution and grid, and the problem its header specifies."""
+    run.add_input(args.dataset)
+    _, solution, grid = load_jsonl(args.dataset)
+    if not isinstance(solution.header.get("problem"), dict):
+        raise HjbSparseError(f"{args.dataset} was written before datasets carried their problem spec; "
+                             "re-run `hjbsparse sweep` to regenerate it")
+    return problem_from_spec(solution.header["problem"]), solution, grid
 
 
 # ---------------------------------------------------------------------------
@@ -142,8 +131,11 @@ def _build_problem(args, run: _Run):
 
 def cmd_grid(args, run: _Run, cfg: dict) -> int:
     family = NodeFamily.parse(_resolve(run, args.family, cfg, "family", "cgl"))
-    d = int(_resolve(run, args.d, cfg, "d", None))
-    q = int(_resolve(run, args.q, cfg, "q", None))
+    d = _resolve(run, args.d, cfg, "d", None)
+    q = _resolve(run, args.q, cfg, "q", None)
+    if d is None or q is None:
+        build_parser().error("grid requires --d and --q, as flags or --config entries")
+    d, q = int(d), int(q)
     domain = _parse_domain(args.domain, d) if args.domain else Box((0.0,) * d, (1.0,) * d)
     run.config["domain"] = domain.as_json()
     grid = build_grid(family, d, q, domain)
@@ -166,7 +158,12 @@ def cmd_grid(args, run: _Run, cfg: dict) -> int:
 
 
 def cmd_sweep(args, run: _Run, cfg: dict) -> int:
-    problem = _build_problem(args, run)
+    spec = make_problem(args.problem, args.domain_id or "d1").spec()
+    if args.problem_config:
+        run.add_input(args.problem_config)
+        spec["params"].update(_load_config_file(args.problem_config))
+    problem = problem_from_spec(spec)
+    run.config["problem"] = problem.spec()
     family = NodeFamily.parse(_resolve(run, args.family, cfg, "family", "cgl"))
     q = int(_resolve(run, args.q, cfg, "q", None))
     tol = float(_resolve(run, args.tol, cfg, "tol", 1e-8))
@@ -184,18 +181,15 @@ def cmd_sweep(args, run: _Run, cfg: dict) -> int:
 
 
 def cmd_fit(args, run: _Run, cfg: dict) -> int:
-    run.add_input(args.dataset)
-    header, solution, grid = load_jsonl(args.dataset)
-    mask = solution.ok_mask()
-    v = fit_hierarchical(grid, solution.value_array(), mask=mask)
-    lam = fit_hierarchical(grid, solution.costate_array(), mask=mask)
+    problem, solution, grid = _load_dataset(args, run)
+    law = fit_feedback(problem, grid, solution)
     payload = {
-        "header": header,
+        "header": solution.header,
         "n_points": len(grid),
         "n_failed": len(solution.failures),
-        "max_abs_value_surplus": float(np.abs(v.surpluses).max()),
-        "value_surpluses": v.surpluses,
-        "costate_surpluses": lam.surpluses,
+        "max_abs_value_surplus": float(np.abs(law.value.surpluses).max()),
+        "value_surpluses": law.value.surpluses,
+        "costate_surpluses": law.costate.surpluses,
     }
     _write_json(run, args.out, payload)
     print(f"fitted {len(grid)} points; max |V surplus| = {payload['max_abs_value_surplus']}")
@@ -203,17 +197,11 @@ def cmd_fit(args, run: _Run, cfg: dict) -> int:
 
 
 def cmd_interp(args, run: _Run, cfg: dict) -> int:
-    run.add_input(args.dataset)
-    header, solution, grid = load_jsonl(args.dataset)
-    problem = make_problem(header["problem"])
+    problem, solution, grid = _load_dataset(args, run)
     law = fit_feedback(problem, grid, solution)
     pts = [_parse_vector(a) for a in args.at]
     rows = []
-    for p in pts:
-        if problem.time_in_grid:
-            t, x = float(p[0]), p[1:]
-        else:
-            t, x = 0.0, p
+    for p, (t, x) in zip(pts, point_args(problem, pts)):
         lam = law.costate_at(t, x)
         u = law.control(t, x)
         rows.append({"point": p, "t": t, "V": law.value_at(t, x), "lam": lam, "u": u})
@@ -248,9 +236,7 @@ def cmd_mc_ebvp(args, run: _Run, cfg: dict) -> int:
 
 
 def cmd_validate(args, run: _Run, cfg: dict) -> int:
-    run.add_input(args.dataset)
-    header, solution, grid = load_jsonl(args.dataset)
-    problem = make_problem(header["problem"])
+    problem, solution, grid = _load_dataset(args, run)
     n = int(_resolve(run, args.n, cfg, "n", 300))
     tol = float(_resolve(run, args.tol, cfg, "tol", 1e-7))
     seed = int(_resolve(run, args.seed, cfg, "seed", 0))
@@ -273,9 +259,7 @@ def cmd_validate(args, run: _Run, cfg: dict) -> int:
 
 
 def cmd_mpc(args, run: _Run, cfg: dict) -> int:
-    run.add_input(args.dataset)
-    header, solution, grid = load_jsonl(args.dataset)
-    problem = make_problem(header["problem"])
+    problem, solution, grid = _load_dataset(args, run)
     x0 = _parse_vector(args.x0)
     noise = float(_resolve(run, args.noise, cfg, "noise", 0.0))
     seed = int(_resolve(run, args.seed, cfg, "seed", 0))
@@ -283,7 +267,10 @@ def cmd_mpc(args, run: _Run, cfg: dict) -> int:
     if args.dt is not None:
         dt = float(args.dt)
     else:
-        dt = 1.0 / float(_resolve(run, args.hz, cfg, "hz", 10.0))
+        hz = float(_resolve(run, args.hz, cfg, "hz", 10.0))
+        if not hz > 0:
+            raise ValueError(f"--hz must be > 0, got {hz}")
+        dt = 1.0 / hz
     run.config.update({"dt": dt, "x0": x0.tolist()})
     run.seeds.append(seed)
     mode = HorizonMode.TIME_IN_GRID if problem.time_in_grid else HorizonMode.FIXED_INITIAL
@@ -379,7 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="solve the characteristic BVP at every grid point")
     p.add_argument("--problem", required=True)
     p.add_argument("--domain-id", default=None, choices=["d1", "d2"])
-    p.add_argument("--problem-config", default=None, help="JSON overrides for the attitude parameters")
+    p.add_argument("--problem-config", default=None,
+                   help="JSON object overriding AttitudeParams fields (B, J, H, W, T, domain)")
     p.add_argument("--family", default=None)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--tol", type=float, default=None)

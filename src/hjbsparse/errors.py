@@ -20,13 +20,11 @@ points; by linearity the result rescales exactly with the error magnitude.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .characteristics import ControlProblem, FeedbackLaw, solve_point
+from .characteristics import ControlProblem, FeedbackLaw, map_chunks, point_args, solve_point
 from .exceptions import GridSpecError, ValidationError
 from .grid import NodeFamily, build_grid, unit_box
 from .interp import _combination_engine, lebesgue_bound, lebesgue_constant
@@ -209,9 +207,9 @@ class ValidationReport:
 def _oracle_chunk(args):
     problem, tol, items = args
     out = []
-    for idx, t0, x0 in items:
+    for t0, x0 in items:
         rec = solve_point(problem, t0, np.asarray(x0), tol)
-        out.append((idx, rec.V if rec.converged else float("nan")))
+        out.append(rec.V if rec.converged else float("nan"))
     return out
 
 
@@ -228,27 +226,9 @@ def validate(problem: ControlProblem, law: FeedbackLaw, n_samples: int, tight_to
     """
     rng = make_rng(seed)
     pts = law.grid.domain.sample(rng, n_samples)
-    if problem.time_in_grid:
-        items = [(i, float(p[0]), p[1:]) for i, p in enumerate(pts)]
-    else:
-        items = [(i, 0.0, p) for i, p in enumerate(pts)]
-
+    items = point_args(problem, pts)
     v_hat = law.value.eval(law.grid.domain.to_ref(pts))
-
-    if workers is None:
-        workers = os.cpu_count() or 1
-    if workers <= 1 or len(items) < 4:
-        results = _oracle_chunk((problem, tight_tol, items))
-    else:
-        nchunks = min(len(items), 4 * workers)
-        chunks = [items[i::nchunks] for i in range(nchunks)]
-        results = []
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(_oracle_chunk, [(problem, tight_tol, c) for c in chunks]):
-                results.extend(part)
-        results.sort(key=lambda r: r[0])
-
-    oracle = np.array([v for _, v in results])
+    oracle = np.array(map_chunks(_oracle_chunk, problem, tight_tol, items, workers))
     ok = np.isfinite(oracle)
     n_fail = int((~ok).sum())
     if n_fail > max_failure_fraction * n_samples:
@@ -260,7 +240,7 @@ def validate(problem: ControlProblem, law: FeedbackLaw, n_samples: int, tight_to
     m = float(abs_err.max()) if len(err) else 0.0
     counts, edges = np.histogram(err, bins=50, range=(-m, m) if m > 0 else (-1e-300, 1e-300))
     samples = [
-        SamplePoint(t=float(items[i][1]), x=[float(v) for v in items[i][2]],
+        SamplePoint(t=float(items[i][0]), x=[float(v) for v in items[i][1]],
                     oracle=float(oracle[i]), interpolated=float(np.asarray(v_hat)[i]),
                     error=float(np.asarray(v_hat)[i] - oracle[i]))
         for i in np.nonzero(ok)[0]

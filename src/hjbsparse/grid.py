@@ -196,14 +196,6 @@ def unit_box(d: int) -> Box:
     return Box((0.0,) * d, (1.0,) * d)
 
 
-def map_ref_to_phys(domain: Box, ref_point: np.ndarray) -> np.ndarray:
-    return domain.to_phys(ref_point)
-
-
-def map_phys_to_ref(domain: Box, phys_point: np.ndarray) -> np.ndarray:
-    return domain.to_ref(phys_point)
-
-
 def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     """All positive integer d-tuples summing to `total`, ascending lex order."""
     if parts == 1:
@@ -282,10 +274,6 @@ class SparseGrid:
             ref=tuple(float(v) for v in self.ref[idx]),
             phys=tuple(float(v) for v in self.phys[idx]),
         )
-
-    @property
-    def points(self) -> list[GridPoint]:
-        return [self.point(i) for i in range(len(self))]
 
     def cell_slice(self, cell_idx: int) -> slice:
         return slice(int(self.cell_start[cell_idx]), int(self.cell_start[cell_idx + 1]))

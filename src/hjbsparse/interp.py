@@ -202,12 +202,11 @@ def _check_ref_points(x: np.ndarray, d: int) -> np.ndarray:
 
 
 def _cell_einsum(tensor: np.ndarray, mats: list[np.ndarray], vector: bool) -> np.ndarray:
+    # einsum sublists, so any d works: tensor axis k is label k, points are d, components d + 1
     d = len(mats)
-    letters = "abcdef"[:d]
-    spec = letters + ("v" if vector else "")
-    operands = ",".join(f"p{c}" for c in letters)
-    target = "pv" if vector else "p"
-    return np.einsum(f"{spec},{operands}->{target}", tensor, *mats, optimize=True)
+    tail = [d + 1] if vector else []
+    pairs = [x for k, mat in enumerate(mats) for x in (mat, [d, k])]
+    return np.einsum(tensor, list(range(d)) + tail, *pairs, [d] + tail, optimize=True)
 
 
 def _eval_cells(grid: SparseGrid, weights: np.ndarray, cell_idx: list[int], pts: np.ndarray) -> np.ndarray:

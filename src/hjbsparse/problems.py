@@ -182,6 +182,11 @@ class AttitudeProblem(ControlProblem):
         target = optimal_attitude(self.params, x0[:3], x0[3:]).v_e
         return replace(self, target_attitude=target)
 
+    def spec(self) -> dict:
+        p = self.params
+        return {"id": self.name, "params": {"B": p.B.tolist(), "J": p.J.tolist(), "H": p.H.tolist(),
+                                            "W": list(p.W), "T": p.T, "domain": p.domain.as_json()}}
+
 
 def make_example1(domain: str = "d1") -> AttitudeProblem:
     """Three wheel pairs, fully actuated; terminal cost W4|v(T)|^2 + W5|w(T)|^2, T = 20."""
@@ -424,3 +429,42 @@ def make_problem(problem_id: str, domain: str = "d1") -> ControlProblem:
     if problem_id == "example3":
         return make_example3()
     raise ValueError(f"unknown problem id {problem_id!r}; expected one of {sorted(PROBLEM_IDS)}")
+
+
+# AttitudeParams field -> (check of its JSON value as a float array, conversion to the field's type)
+_ATTITUDE_FIELDS = {
+    "B": (lambda a: a.ndim == 2 and a.shape[0] == 3 and a.shape[1] >= 1, np.asarray),
+    "J": (lambda a: a.shape == (3,) and bool(np.all(a > 0)), np.asarray),
+    "H": (lambda a: a.shape == (3,), np.asarray),
+    "W": (lambda a: a.shape == (5,), lambda a: tuple(a.tolist())),
+    "T": (lambda a: a.shape == () and a >= 0, float),
+    "domain": (lambda a: a.shape == (6, 2) and bool(np.all(a[:, 0] < a[:, 1])), Box.from_json),
+}
+
+
+def _attitude_field(key: str, value):
+    if key not in _ATTITUDE_FIELDS:
+        raise ValueError(f"unknown problem param {key!r}; expected one of {sorted(_ATTITUDE_FIELDS)}")
+    check, convert = _ATTITUDE_FIELDS[key]
+    try:
+        a = np.array(value, dtype=float)
+        ok = bool(np.all(np.isfinite(a))) and check(a)
+    except (TypeError, ValueError):
+        ok = False
+    if not ok:
+        raise ValueError(f"malformed problem param {key}={value!r}")
+    return convert(a)
+
+
+def problem_from_spec(spec) -> ControlProblem:
+    """Inverse of ControlProblem.spec(): make_problem(id) with the given AttitudeParams fields replaced.
+
+    Raises ValueError for an unknown id, an unknown or malformed param, or params for a problem that takes none.
+    """
+    if not (isinstance(spec, dict) and set(spec) == {"id", "params"} and isinstance(spec["params"], dict)):
+        raise ValueError(f'a problem spec is {{"id": ..., "params": {{...}}}}, got {spec!r}')
+    problem, params = make_problem(spec["id"]), spec["params"]
+    if params and not isinstance(problem, AttitudeProblem):
+        raise ValueError(f"problem {spec['id']!r} takes no params, got {sorted(params)}")
+    fields = {key: _attitude_field(key, value) for key, value in params.items()}
+    return replace(problem, params=replace(problem.params, **fields)) if fields else problem

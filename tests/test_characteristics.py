@@ -10,7 +10,6 @@ from hjbsparse.characteristics import (
     ControlProblem,
     GridSolution,
     assemble_bvp,
-    feedback,
     fit_feedback,
     load_jsonl,
     solve_point,
@@ -226,7 +225,7 @@ class TestSweep:
         path = tmp_path / "ds.jsonl"
         sol.save_jsonl(path, grid)
         header, loaded, grid2 = load_jsonl(path)
-        assert header["problem"] == "example3"
+        assert header["problem"]["id"] == "example3"
         assert len(loaded.records) == len(grid) == len(grid2)
         for a, b in zip(sol.records, loaded.records):
             assert a.point_id == b.point_id
@@ -260,7 +259,7 @@ class TestFeedback:
 
     def test_zero_costate_gives_zero_control(self, ex3, ex3_q9):
         grid, sol, law = ex3_q9
-        u = feedback(ex3, law.costate, 0.0, np.array([0.3, 0.3, 0.0]))
+        u = law.control(0.0, np.array([0.3, 0.3, 0.0]))
         # quadratic control cost: u = -D * lam3; lam is small on the zero-cost plane
         assert np.abs(u).max() < 0.05
 

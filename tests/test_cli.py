@@ -1,10 +1,15 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from hjbsparse.bvp import BvpStatus
+from hjbsparse.characteristics import solve_point
 from hjbsparse.cli import _workers, build_parser, main
 from hjbsparse.mpc import read_trajectory
+from hjbsparse.problems import make_example1
 
 
 def run(args, capsys):
@@ -28,6 +33,12 @@ class TestBasics:
         code, _ = run(["grid", "--family", "classic", "--d", "3", "--q", "2",
                        "--out", str(tmp_path / "g.json")], capsys)
         assert code == 1
+
+    @pytest.mark.parametrize("args", [["--q", "5"], ["--d", "2"]])
+    def test_grid_without_d_or_q_is_usage_error(self, args, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["grid", *args, "--out", str(tmp_path / "g.json")])
+        assert exc.value.code == 2
 
     def test_workers_env_fallback(self, monkeypatch):
         monkeypatch.setenv("HJB_WORKERS", "5")
@@ -83,7 +94,7 @@ class TestPipeline:
     def test_sweep_dataset_and_manifest(self, ds_path):
         lines = ds_path.read_text().splitlines()
         header = json.loads(lines[0])
-        assert header["problem"] == "example3" and header["q"] == 6
+        assert header["problem"]["id"] == "example3" and header["q"] == 6
         assert len(lines) - 1 == 41
         manifest = json.loads(Path(str(ds_path) + ".manifest.json").read_text())
         assert manifest["config"]["workers"] == 2
@@ -126,10 +137,81 @@ class TestPipeline:
         assert data.shape[0] == 36
         assert "status=ok" in out
 
+    @pytest.mark.parametrize("flag", ["--hz", "--dt"])
+    def test_mpc_rejects_zero_sample_period(self, flag, ds_path, tmp_path, capsys):
+        code = main(["mpc", "--dataset", str(ds_path), "--x0", "0.5,0.5,0.5", flag, "0",
+                     "--out", str(tmp_path / "traj.csv")])
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+
+    def test_fit_refuses_coarse_failure(self, ds_path, tmp_path, capsys):
+        lines = ds_path.read_text().splitlines()
+        root = json.loads(lines[1])
+        root.update(V=None, lam=[None] * 3, status=BvpStatus.NEWTON_DIVERGED.value)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join([lines[0], json.dumps(root), *lines[2:]]) + "\n")
+        code, _ = run(["fit", "--dataset", str(bad), "--out", str(tmp_path / "fit.json")], capsys)
+        assert code == 1
+
+    def test_header_without_problem_spec_is_refused(self, ds_path, tmp_path, capsys):
+        lines = ds_path.read_text().splitlines()
+        header = json.loads(lines[0])
+        header["problem"] = "example3"
+        old = tmp_path / "old.jsonl"
+        old.write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n")
+        code = main(["fit", "--dataset", str(old), "--out", str(tmp_path / "fit.json")])
+        assert code == 1
+        assert "re-run" in capsys.readouterr().err
+
     def test_missing_dataset_exits_one(self, tmp_path, capsys):
         code, _ = run(["validate", "--dataset", str(tmp_path / "nope.jsonl"),
                        "--out", str(tmp_path / "r.json")], capsys)
         assert code == 1
+
+
+class TestProblemConfig:
+    """Example I at q=6 is a one-point grid, so each sweep here is a single solve."""
+
+    def sweep(self, tmp_path, *args):
+        path = tmp_path / "ds.jsonl"
+        code = main(["sweep", *args, "--q", "6", "--workers", "1", "--out", str(path)])
+        return code, path
+
+    def config(self, tmp_path, params):
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps(params))
+        return str(path)
+
+    def test_validate_solves_the_overridden_problem(self, tmp_path):
+        code, ds = self.sweep(tmp_path, "--problem", "example1",
+                              "--problem-config", self.config(tmp_path, {"T": 2.0}))
+        assert code == 0
+        assert json.loads(ds.read_text().splitlines()[0])["problem"]["params"]["T"] == 2.0
+        out = tmp_path / "report.json"
+        assert main(["validate", "--dataset", str(ds), "--n", "2", "--tol", "1e-8", "--seed", "1",
+                     "--workers", "1", "--out", str(out)]) == 0
+        base = make_example1()
+        overridden = replace(base, params=replace(base.params, T=2.0))
+        for sample in json.loads(out.read_text())["samples"]:
+            rec = solve_point(overridden, 0.0, np.array(sample["x"]), tol=1e-8)
+            assert sample["oracle"] == pytest.approx(rec.V, rel=1e-9, abs=1e-12)
+
+    def test_mpc_clamps_to_the_dataset_box(self, tmp_path, capsys):
+        code, ds = self.sweep(tmp_path, "--problem", "example1", "--domain-id", "d2")
+        assert code == 0
+        out = tmp_path / "traj.csv"
+        # phi = 0.7 lies inside d2 (|phi| <= pi/3) but outside d1 (|phi| <= pi/6)
+        code, stdout = run(["mpc", "--dataset", str(ds), "--x0", "0.7,0,0,0,0,0", "--tmax", "0",
+                            "--out", str(out)], capsys)
+        assert code == 0
+        assert "clamps=0" in stdout
+
+    # example3 takes no params; "j" is not an AttitudeParams field
+    @pytest.mark.parametrize("problem, params", [("example3", {"T": 2.0}), ("example1", {"j": [1.0, 2.0, 3.0]})])
+    def test_rejected_problem_config_exits_one(self, problem, params, tmp_path, capsys):
+        code, _ = self.sweep(tmp_path, "--problem", problem, "--problem-config", self.config(tmp_path, params))
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
 
 
 class TestConfigPrecedence:

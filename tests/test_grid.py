@@ -11,8 +11,6 @@ from hjbsparse.grid import (
     delta_nodes,
     dense_size,
     grid_size,
-    map_phys_to_ref,
-    map_ref_to_phys,
     nodes_1d,
 )
 
@@ -162,15 +160,15 @@ class TestGridStructure:
 class TestDomainMaps:
     def test_midpoint(self):
         box = Box((-math.pi / 6,), (math.pi / 6,))
-        assert map_ref_to_phys(box, np.array([0.5]))[0] == pytest.approx(0.0, abs=1e-15)
+        assert box.to_phys(np.array([0.5]))[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_lower_bound(self):
         box = Box((-math.pi / 6,), (math.pi / 6,))
-        assert map_ref_to_phys(box, np.array([0.0]))[0] == -math.pi / 6
+        assert box.to_phys(np.array([0.0]))[0] == -math.pi / 6
 
     def test_linearity(self):
         box = Box((-math.pi / 8,), (math.pi / 8,))
-        assert map_ref_to_phys(box, np.array([0.25]))[0] == pytest.approx(-math.pi / 16, rel=1e-14)
+        assert box.to_phys(np.array([0.25]))[0] == pytest.approx(-math.pi / 16, rel=1e-14)
 
     def test_round_trip(self):
         rng = np.random.default_rng(0)
@@ -183,13 +181,13 @@ class TestDomainMaps:
     def test_out_of_box_raises(self):
         box = Box((0.0,), (1.0,))
         with pytest.raises(OutOfDomainError):
-            map_phys_to_ref(box, np.array([1.5]))
+            box.to_ref(np.array([1.5]))
         with pytest.raises(OutOfDomainError):
-            map_ref_to_phys(box, np.array([-0.1]))
+            box.to_phys(np.array([-0.1]))
 
     def test_boundary_tolerance(self):
         box = Box((0.0,), (1.0,))
-        assert map_phys_to_ref(box, np.array([1.0 + 1e-13]))[0] == 1.0
+        assert box.to_ref(np.array([1.0 + 1e-13]))[0] == 1.0
 
     def test_empty_axis_rejected(self):
         with pytest.raises(GridSpecError):

@@ -168,6 +168,17 @@ class TestCombination:
             scale = max(1.0, np.abs(a).max())
             assert np.abs(a - b).max() / scale < 1e-9
 
+    def test_seven_dimensions(self):
+        g = build_grid(NodeFamily.CGL, 7, 9)
+        rng = np.random.default_rng(5)
+        f = np.stack([np.exp(-(g.ref**2).sum(axis=1)), np.cos(g.ref @ rng.uniform(0.5, 2.0, 7))], axis=1)
+        it = fit_hierarchical(g, f)
+        assert np.abs(np.asarray(it.eval(g.ref)) - f).max() <= 1e-10
+        pts = rng.uniform(0, 1, (50, 7))
+        a = np.asarray(it.eval(pts))
+        b = np.asarray(eval_combination(g, f, pts))
+        assert np.abs(a - b).max() < 1e-9
+
     def test_constant_telescopes(self):
         g = build_grid(NodeFamily.CGL, 3, 7)
         pts = np.random.default_rng(2).uniform(0, 1, (30, 3))

@@ -153,3 +153,8 @@ class TestConfig:
             MpcConfig(dt=0.1, t_max=1.0, substeps=0)
         with pytest.raises(ValueError):
             MpcConfig(dt=0.1, t_max=1.0, noise_fraction=-0.1)
+        for dt in (0.0, -0.1, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                MpcConfig(dt=dt, t_max=1.0)
+        with pytest.raises(ValueError):
+            MpcConfig(dt=0.1, t_max=-1.0)

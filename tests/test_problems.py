@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from hjbsparse.problems import (
     make_problem,
     null_direction,
     optimal_attitude,
+    problem_from_spec,
     rotation,
     skew,
 )
@@ -184,6 +186,45 @@ class TestProblemFactories:
             um[k] -= eps
             dH = (problem.H(0.5, x, lam, up) - problem.H(0.5, x, lam, um)) / (2 * eps)
             assert np.abs(dH).max() <= 1e-6
+
+
+class TestProblemSpec:
+    @pytest.mark.parametrize("make", [
+        lambda: make_example1("d1"),
+        lambda: make_example1("d2"),
+        make_example2,
+        make_example3,
+        lambda: problem_from_spec({"id": "example1", "params": {"T": 3.0, "W": [2.0, 1.0, 0.25, 0.0, 0.5]}}),
+    ], ids=["example1-d1", "example1-d2", "example2", "example3", "example1-overridden"])
+    def test_round_trip(self, make):
+        problem = make()
+        spec = problem.spec()
+        for again in (problem_from_spec(spec), problem_from_spec(json.loads(json.dumps(spec)))):
+            assert type(again) is type(problem) and again.name == problem.name
+            assert again.domain == problem.domain and again.horizon == problem.horizon
+            if hasattr(problem, "params"):
+                for key in ("B", "J", "H", "W", "T"):
+                    assert np.array_equal(getattr(again.params, key), getattr(problem.params, key))
+                assert (again.terminal, again.reachable) == (problem.terminal, problem.reachable)
+
+    def test_example3_has_no_params(self):
+        assert make_example3().spec() == {"id": "example3", "params": {}}
+
+    @pytest.mark.parametrize("spec", [
+        "example1",
+        {"id": "example1"},
+        {"id": "example9", "params": {}},
+        {"id": "example1", "params": {"j": [1.0, 2.0, 3.0]}},
+        {"id": "example1", "params": {"J": [1.0, 2.0]}},
+        {"id": "example1", "params": {"B": [1.0, 2.0, 3.0]}},
+        {"id": "example1", "params": {"W": [1.0, 1.0]}},
+        {"id": "example1", "params": {"T": "long"}},
+        {"id": "example1", "params": {"domain": [[0.0, 1.0]]}},
+        {"id": "example3", "params": {"T": 2.0}},
+    ])
+    def test_rejects_bad_spec(self, spec):
+        with pytest.raises(ValueError):
+            problem_from_spec(spec)
 
 
 class TestExample3:
