@@ -69,7 +69,8 @@ class ControlProblem:
         raise NotImplementedError
 
     def specialize(self, t0: float, x0: np.ndarray) -> "ControlProblem":
-        """Per-point frozen variant (e.g. a fixed target attitude); default self."""
+        """Per-point frozen variant (e.g. a fixed target attitude) that a further
+        specialize returns unchanged; default self."""
         return self
 
     # -- derived -----------------------------------------------------------
@@ -178,16 +179,16 @@ def solve_point(problem: ControlProblem, t0: float, x0: np.ndarray, tol: float =
     """Value and costate at one point; failures are reported, never fabricated."""
     x0 = np.asarray(x0, dtype=float)
     n = problem.n
+    # specialize once: for Example II it solves for the target attitude
+    prob = problem.specialize(t0, x0)
     if problem.horizon - t0 <= _DEGENERATE_HORIZON:
-        prob = problem.specialize(t0, x0)
         rec = CharacteristicRecord(point_id, float(prob.h(x0)),
                                    np.asarray(prob.h_x(x0), dtype=float), BvpStatus.CONVERGED.value, 0.0, 0)
         return (rec, None) if return_solution else rec
-    sol = bvp_solve(assemble_bvp(problem, t0, x0, tol))
+    sol = bvp_solve(assemble_bvp(prob, t0, x0, tol))
     if sol.status is not BvpStatus.CONVERGED:
-        sol = _continuation_solve(problem.specialize(t0, x0), t0, x0, tol)
+        sol = _continuation_solve(prob, t0, x0, tol)
     if sol.status is BvpStatus.CONVERGED:
-        prob = problem.specialize(t0, x0)
         x_T = sol.y[:n, -1]
         V = float(sol.y[2 * n, -1] + prob.h(x_T))
         lam0 = sol.y[n : 2 * n, 0].copy()
@@ -274,24 +275,52 @@ class GridSolution:
                 fh.write(line + "\n")
 
 
+def _field(obj, key: str, convert):
+    """convert(obj[key]); a missing key or a malformed value raises ValueError naming the key."""
+    try:
+        return convert(obj[key])
+    except KeyError:
+        raise ValueError(f"missing key {key!r}") from None
+    except (IndexError, TypeError, ValueError) as exc:
+        raise ValueError(f"malformed {key!r}: {exc}") from None
+
+
+def _nan_or_float(v) -> float:
+    return np.nan if v is None else float(v)
+
+
+def _record(obj) -> CharacteristicRecord:
+    return CharacteristicRecord(
+        point_id=_field(obj, "id", int),
+        V=_field(obj, "V", _nan_or_float),
+        lam=_field(obj, "lam", lambda v: np.array([_nan_or_float(x) for x in v])),
+        status=_field(obj, "status", str),
+        residual=_field(obj, "res", float),
+        mesh=_field(obj, "mesh", int),
+    )
+
+
+def _header_and_grid(header) -> tuple[dict, SparseGrid]:
+    grid = build_grid(NodeFamily.parse(_field(header, "family", str)), _field(header, "d", int),
+                      _field(header, "q", int), _field(header, "domain", Box.from_json))
+    return header, grid
+
+
 def load_jsonl(path) -> tuple[dict, GridSolution, SparseGrid]:
-    """Parse a sweep dataset; rebuilds the grid from the header."""
+    """Parse a sweep dataset; rebuilds the grid from the header.
+
+    A line that is not JSON, or lacks a key or holds a malformed value, raises
+    SweepError naming the file, the line and the key.
+    """
+    def parse(lineno: int, line: str, build):
+        try:
+            return build(json.loads(line))
+        except ValueError as exc:
+            raise SweepError(f"{path} line {lineno}: {exc}") from exc
+
     with open(path) as fh:
-        header = json.loads(fh.readline())
-        records = []
-        for line in fh:
-            obj = json.loads(line)
-            lam = np.array([np.nan if v is None else float(v) for v in obj["lam"]])
-            records.append(CharacteristicRecord(
-                point_id=int(obj["id"]),
-                V=np.nan if obj["V"] is None else float(obj["V"]),
-                lam=lam,
-                status=obj["status"],
-                residual=float(obj["res"]),
-                mesh=int(obj["mesh"]),
-            ))
-    grid = build_grid(NodeFamily.parse(header["family"]), int(header["d"]), int(header["q"]),
-                      Box.from_json(header["domain"]))
+        header, grid = parse(1, fh.readline(), _header_and_grid)
+        records = [parse(lineno, line, _record) for lineno, line in enumerate(fh, start=2)]
     if len(records) != len(grid):
         raise SweepError(f"dataset has {len(records)} records for a {len(grid)}-point grid")
     return header, GridSolution(header=header, records=records), grid

@@ -27,7 +27,7 @@ import numpy as np
 from .characteristics import ControlProblem, FeedbackLaw, map_chunks, point_args, solve_point
 from .exceptions import GridSpecError, ValidationError
 from .grid import NodeFamily, build_grid, unit_box
-from .interp import _combination_engine, lebesgue_bound, lebesgue_constant
+from .interp import eval_combination, lebesgue_bound, lebesgue_constant
 from .util import RNG_NAME, make_rng
 
 
@@ -151,7 +151,7 @@ def mc_ebvp(family: NodeFamily, d: int, q: int, n_eval: int, seed: int,
     elif len(eps_bar) != len(grid):
         raise GridSpecError(f"eps_bar must have one entry per grid point ({len(grid)})")
     pts = rng.uniform(0.0, 1.0, size=(n_eval, d))
-    ratios = _combination_engine(grid).eval(np.asarray(eps_bar, dtype=float), pts)
+    ratios = eval_combination(grid, eps_bar, pts)
     counts, edges = np.histogram(ratios, bins=50)
     return McEbvpReport(
         family=family.value, d=d, q=q, grid_points=len(grid), n_eval=n_eval,

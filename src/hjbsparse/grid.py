@@ -275,9 +275,6 @@ class SparseGrid:
             phys=tuple(float(v) for v in self.phys[idx]),
         )
 
-    def cell_slice(self, cell_idx: int) -> slice:
-        return slice(int(self.cell_start[cell_idx]), int(self.cell_start[cell_idx + 1]))
-
     def point_keys(self) -> np.ndarray:
         """int64 key per point, unique across the grid, shared across levels."""
         return self._keys_from(self.levels, self.offsets)

@@ -421,9 +421,11 @@ PROBLEM_IDS = {"example1", "example2", "example3"}
 
 
 def make_problem(problem_id: str, domain: str = "d1") -> ControlProblem:
-    """CLI-facing factory keyed by problem id."""
+    """CLI-facing factory keyed by problem id; only example1 has a domain other than d1."""
     if problem_id == "example1":
         return make_example1(domain)
+    if problem_id in PROBLEM_IDS and domain != "d1":
+        raise ValueError(f"problem {problem_id!r} has only domain d1, got {domain!r}")
     if problem_id == "example2":
         return make_example2()
     if problem_id == "example3":

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import hjbsparse.characteristics as chmod
+import hjbsparse.problems as problems
 from hjbsparse.bvp import BvpStatus, solve as bvp_solve
 from hjbsparse.characteristics import (
     CharacteristicRecord,
@@ -17,6 +18,7 @@ from hjbsparse.characteristics import (
 )
 from hjbsparse.exceptions import FitError, OutOfDomainError, SweepError
 from hjbsparse.grid import Box, NodeFamily, build_grid
+from hjbsparse.problems import make_example2
 
 
 class ToyLqr(ControlProblem):
@@ -146,6 +148,21 @@ class TestSolvePoint:
         assert rec.converged
         assert rec.V == 0.0
         assert rec.mesh == 0
+
+    def test_example2_specializes_once(self, monkeypatch):
+        p2 = make_example2()
+        x0 = np.array([0.1, -0.05, 0.08, 0.02, 0.01, -0.03])
+        calls = []
+        target = problems.optimal_attitude
+        monkeypatch.setattr(problems, "optimal_attitude", lambda *a: calls.append(a) or target(*a))
+        rec = solve_point(p2, 0.0, x0, tol=1e-8)
+        assert len(calls) == 1
+        # the record equals the one built from the unspecialized problem and a second target solve
+        sol = bvp_solve(assemble_bvp(p2, 0.0, x0, tol=1e-8))
+        assert sol.status is BvpStatus.CONVERGED
+        assert rec.V == float(sol.y[12, -1] + p2.specialize(0.0, x0).h(sol.y[:6, -1]))
+        assert np.array_equal(rec.lam, sol.y[6:12, 0])
+        assert (rec.residual, rec.mesh) == (sol.est_residual, sol.n_nodes)
 
     def test_failure_never_fabricates_value(self, ex3, monkeypatch):
         def bad_solve(problem):

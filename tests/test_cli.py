@@ -153,6 +153,16 @@ class TestPipeline:
         code, _ = run(["fit", "--dataset", str(bad), "--out", str(tmp_path / "fit.json")], capsys)
         assert code == 1
 
+    def test_record_missing_key_exits_one(self, ds_path, tmp_path, capsys):
+        lines = ds_path.read_text().splitlines()
+        rec = json.loads(lines[5])
+        del rec["mesh"]
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join([*lines[:5], json.dumps(rec), *lines[6:]]) + "\n")
+        code = main(["fit", "--dataset", str(bad), "--out", str(tmp_path / "fit.json")])
+        assert code == 1
+        assert "line 6: missing key 'mesh'" in capsys.readouterr().err
+
     def test_header_without_problem_spec_is_refused(self, ds_path, tmp_path, capsys):
         lines = ds_path.read_text().splitlines()
         header = json.loads(lines[0])
@@ -205,6 +215,13 @@ class TestProblemConfig:
                             "--out", str(out)], capsys)
         assert code == 0
         assert "clamps=0" in stdout
+
+    @pytest.mark.parametrize("problem", ["example2", "example3"])
+    def test_domain_d2_is_refused_without_one(self, problem, tmp_path, capsys):
+        code, ds = self.sweep(tmp_path, "--problem", problem, "--domain-id", "d2")
+        assert code == 1
+        assert not ds.exists()
+        assert "only domain d1" in capsys.readouterr().err
 
     # example3 takes no params; "j" is not an AttitudeParams field
     @pytest.mark.parametrize("problem, params", [("example3", {"T": 2.0}), ("example1", {"j": [1.0, 2.0, 3.0]})])

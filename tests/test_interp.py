@@ -12,7 +12,6 @@ from hjbsparse.interp import (
     fit_hierarchical,
     lebesgue_bound,
     lebesgue_constant,
-    make_combination,
 )
 
 FAMILIES = list(NodeFamily)
@@ -145,6 +144,16 @@ class TestEval:
         for k in range(3):
             assert np.abs(got[:, k] - np.asarray(singles[k].eval(pts))).max() < 1e-13
 
+    def test_batch_equals_single_queries_across_blocks(self):
+        # 1,457 points: the kernel evaluates 44 query rows per block, so 100 rows span three blocks
+        g = build_grid(NodeFamily.CGL, 6, 10)
+        z = g.ref @ np.linspace(0.5, 1.7, 6)
+        it = fit_hierarchical(g, np.stack([np.sin(2.0 * z), np.exp(-(g.ref**2).sum(axis=1))], axis=1))
+        pts = np.random.default_rng(8).uniform(0, 1, (100, 6))
+        batch = np.asarray(it.eval(pts))
+        singles = np.array([it.eval(p) for p in pts])
+        assert np.abs(batch - singles).max() <= 1e-12
+
     def test_out_of_cube_raises(self):
         g = build_grid(NodeFamily.CLASSIC, 2, 4)
         it = fit_hierarchical(g, np.zeros(len(g)))
@@ -205,8 +214,7 @@ class TestCombination:
     def test_mode_reproduces_grid_samples(self):
         g = build_grid(NodeFamily.MODIFIED, 2, 6)
         f = np.sin(5 * g.ref[:, 0]) + g.ref[:, 1]
-        it = make_combination(g, f)
-        assert np.abs(np.asarray(it.eval(g.ref)) - f).max() < 1e-10
+        assert np.abs(np.asarray(eval_combination(g, f, g.ref)) - f).max() < 1e-10
 
 
 class TestLebesgue:
