@@ -29,6 +29,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.linalg import splu
 
 _SQRT_EPS = math.sqrt(np.finfo(float).eps)
+_MAX_NEWTON = 50                              # Newton iterations per mesh
 
 # Lobatto abscissae for the 4-point formula on [0, 1]
 _C = np.array([0.0, (5.0 - math.sqrt(5.0)) / 10.0, (5.0 + math.sqrt(5.0)) / 10.0, 1.0])
@@ -75,11 +76,9 @@ class BvpProblem:
     bc: Callable[[np.ndarray, np.ndarray], np.ndarray]
     interval: tuple[float, float]
     tol: float = 1e-8
-    initial_mesh: np.ndarray | None = None
     guess: Callable[[np.ndarray], np.ndarray] | None = None
     rhs_jac: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     max_nodes: int = 10_000
-    max_newton: int = 50
 
 
 @dataclass
@@ -298,15 +297,6 @@ def _pack_solution(coll: _Collocation, y: np.ndarray, f: np.ndarray, status: Bvp
     )
 
 
-def _default_mesh(problem: BvpProblem) -> np.ndarray:
-    if problem.initial_mesh is not None:
-        mesh = np.asarray(problem.initial_mesh, dtype=float)
-        if len(mesh) < 4 or np.any(np.diff(mesh) <= 0):
-            raise ValueError("initial mesh must be strictly increasing with >= 3 intervals")
-        return mesh
-    return np.linspace(problem.interval[0], problem.interval[1], 11)
-
-
 def solve(problem: BvpProblem) -> BvpSolution:
     """Solve with adaptive mesh refinement until the sampled residual meets tol.
 
@@ -314,17 +304,16 @@ def solve(problem: BvpProblem) -> BvpSolution:
     through the status field (NewtonDiverged / MaxMesh), never silently.
     """
     newton_tol = max(1e-13, 0.01 * problem.tol)
-    mesh = _default_mesh(problem)
+    mesh = np.linspace(problem.interval[0], problem.interval[1], 11)
     y = _initial_y(problem, _stage_abscissae(mesh))
     total_iters = 0
     meshes = 0
     restarts = 0
-    prev: BvpSolution | None = None
 
     while True:
         meshes += 1
         coll = _Collocation(problem, mesh)
-        y_sol, f_sol, norm, iters, ok = coll.newton(y, newton_tol, problem.max_newton)
+        y_sol, f_sol, norm, iters, ok = coll.newton(y, newton_tol, _MAX_NEWTON)
         total_iters += iters
         if not ok:
             # restart on a uniformly doubled mesh from the original guess
@@ -337,7 +326,6 @@ def solve(problem: BvpProblem) -> BvpSolution:
             fine[1::2] = 0.5 * (mesh[:-1] + mesh[1:])
             mesh = fine
             y = _initial_y(problem, _stage_abscissae(mesh))
-            prev = None
             continue
 
         res = coll.interval_residuals(y_sol, f_sol)
@@ -356,9 +344,9 @@ def solve(problem: BvpProblem) -> BvpSolution:
         new_mesh = np.array(pieces)
         if len(new_mesh) > problem.max_nodes:
             return _pack_solution(coll, y_sol, f_sol, BvpStatus.MAX_MESH, est, total_iters, meshes)
-        prev = _pack_solution(coll, y_sol, f_sol, BvpStatus.MAX_MESH, est, total_iters, meshes)
         mesh = new_mesh
-        y = prev.interpolate(_stage_abscissae(mesh))
+        y = _pack_solution(coll, y_sol, f_sol, BvpStatus.MAX_MESH, est, total_iters, meshes).interpolate(
+            _stage_abscissae(mesh))
 
 
 def solve_fixed_mesh(problem: BvpProblem, mesh: np.ndarray) -> BvpSolution:
@@ -367,7 +355,7 @@ def solve_fixed_mesh(problem: BvpProblem, mesh: np.ndarray) -> BvpSolution:
     coll = _Collocation(problem, mesh)
     y0 = _initial_y(problem, coll.s)
     newton_tol = max(1e-13, 0.01 * problem.tol)
-    y_sol, f_sol, norm, iters, ok = coll.newton(y0, newton_tol, problem.max_newton)
+    y_sol, f_sol, norm, iters, ok = coll.newton(y0, newton_tol, _MAX_NEWTON)
     res = coll.interval_residuals(y_sol, f_sol)
     status = BvpStatus.CONVERGED if ok else BvpStatus.NEWTON_DIVERGED
     return _pack_solution(coll, y_sol, f_sol, status, float(res.max()), iters, 1)

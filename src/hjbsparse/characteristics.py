@@ -29,7 +29,7 @@ from .bvp import BvpProblem, BvpSolution, BvpStatus, solve as bvp_solve
 from .exceptions import FitError, SweepError
 from .grid import Box, NodeFamily, SparseGrid, build_grid
 from .interp import Interpolant, fit_hierarchical
-from .util import jsonable
+from .util import central_difference, jsonable
 
 _DEGENERATE_HORIZON = 1e-13
 
@@ -78,15 +78,7 @@ class ControlProblem:
         return self.L(t, x, u) + np.einsum("ip,ip->p", lam, self.f(t, x, u))
 
     def H_x(self, t, x: np.ndarray, lam: np.ndarray, u: np.ndarray) -> np.ndarray:
-        out = np.empty_like(x)
-        for i in range(self.n):
-            step = 6e-6 * np.maximum(1.0, np.abs(x[i]))
-            xp = x.copy()
-            xp[i] += step
-            xm = x.copy()
-            xm[i] -= step
-            out[i] = (self.H(t, xp, lam, u) - self.H(t, xm, lam, u)) / (2.0 * step)
-        return out
+        return central_difference(lambda xs: self.H(t, xs, lam, u), x, 6e-6 * np.maximum(1.0, np.abs(x)))
 
     @property
     def state_box(self) -> Box:
@@ -303,6 +295,9 @@ def _record(obj) -> CharacteristicRecord:
 def _header_and_grid(header) -> tuple[dict, SparseGrid]:
     grid = build_grid(NodeFamily.parse(_field(header, "family", str)), _field(header, "d", int),
                       _field(header, "q", int), _field(header, "domain", Box.from_json))
+    if not isinstance(header.get("problem"), dict):
+        raise ValueError("the dataset was written before datasets carried their problem spec; "
+                         "re-run `hjbsparse sweep` to regenerate it")
     return header, grid
 
 
@@ -310,7 +305,8 @@ def load_jsonl(path) -> tuple[dict, GridSolution, SparseGrid]:
     """Parse a sweep dataset; rebuilds the grid from the header.
 
     A line that is not JSON, or lacks a key or holds a malformed value, raises
-    SweepError naming the file, the line and the key.
+    SweepError naming the file, the line and the key; so do a header without a
+    problem spec and a record whose id is not its position (record k on line k+2).
     """
     def parse(lineno: int, line: str, build):
         try:
@@ -323,6 +319,9 @@ def load_jsonl(path) -> tuple[dict, GridSolution, SparseGrid]:
         records = [parse(lineno, line, _record) for lineno, line in enumerate(fh, start=2)]
     if len(records) != len(grid):
         raise SweepError(f"dataset has {len(records)} records for a {len(grid)}-point grid")
+    for k, rec in enumerate(records):
+        if rec.point_id != k:
+            raise SweepError(f"{path} line {k + 2}: record id {rec.point_id}, expected {k}")
     return header, GridSolution(header=header, records=records), grid
 
 

@@ -119,9 +119,6 @@ def _load_dataset(args, run: _Run):
     """The dataset's solution and grid, and the problem its header specifies."""
     run.add_input(args.dataset)
     _, solution, grid = load_jsonl(args.dataset)
-    if not isinstance(solution.header.get("problem"), dict):
-        raise HjbSparseError(f"{args.dataset} was written before datasets carried their problem spec; "
-                             "re-run `hjbsparse sweep` to regenerate it")
     return problem_from_spec(solution.header["problem"]), solution, grid
 
 

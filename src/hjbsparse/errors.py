@@ -26,7 +26,7 @@ import numpy as np
 
 from .characteristics import ControlProblem, FeedbackLaw, map_chunks, point_args, solve_point
 from .exceptions import GridSpecError, ValidationError
-from .grid import NodeFamily, build_grid, unit_box
+from .grid import NodeFamily, build_grid, level_sum_coefficients, unit_box
 from .interp import eval_combination, lebesgue_bound, lebesgue_constant
 from .util import RNG_NAME, make_rng
 
@@ -54,14 +54,7 @@ def _level_lambdas(family: NodeFamily, max_level: int, mode: str) -> list[float]
 
 def s_values(lambdas: list[float], d: int, q: int) -> dict[int, float]:
     """S_l for all l <= q by dynamic programming over level compositions."""
-    poly = {0: 1.0}
-    for _ in range(d):
-        new: dict[int, float] = {}
-        for deg, c in poly.items():
-            for i, lam in enumerate(lambdas, start=1):
-                if deg + i <= q:
-                    new[deg + i] = new.get(deg + i, 0.0) + c * lam
-        poly = new
+    poly = level_sum_coefficients(lambdas, d, q)
     # S_l = 0 below l = d (no compositions of l into d positive parts)
     return {l: poly.get(l, 0.0) for l in range(min(d, q - d + 1), q + 1)}
 

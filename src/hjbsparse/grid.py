@@ -312,17 +312,25 @@ def grid_size(family: NodeFamily, d: int, q: int) -> int:
     """Exact point count via the composition sum, without enumeration."""
     if q < d or d < 1:
         raise GridSpecError(f"need q >= d >= 1, got q={q}, d={d}")
-    counts = {i: delta_count(family, i) for i in range(1, q - d + 2)}
-    # coefficients of (sum_i dN_i t^i)^d up to t^q, exact integers
+    poly = level_sum_coefficients([delta_count(family, i) for i in range(1, q - d + 2)], d, q)
+    return sum(c for deg, c in poly.items() if d <= deg <= q)
+
+
+def level_sum_coefficients(weights, d: int, q: int) -> dict:
+    """Nonzero coefficients {l: c_l} of (sum_i w_i t^i)^d up to t^q, weights[0] = w_1.
+
+    c_l sums prod_k w_{i_k} over the compositions i_1 + ... + i_d = l: integer
+    weights give exact integers, float weights floats.
+    """
     poly = {0: 1}
     for _ in range(d):
-        new: dict[int, int] = {}
+        new = {}
         for deg, c in poly.items():
-            for i, dn in counts.items():
+            for i, w in enumerate(weights, start=1):
                 if deg + i <= q:
-                    new[deg + i] = new.get(deg + i, 0) + c * dn
+                    new[deg + i] = new.get(deg + i, 0) + c * w
         poly = new
-    return sum(c for deg, c in poly.items() if d <= deg <= q)
+    return poly
 
 
 def dense_size(family: NodeFamily, d: int, q: int) -> int:

@@ -82,7 +82,12 @@ def _rk4_hold(problem: ControlProblem, t0: float, x: np.ndarray, u: np.ndarray,
 
 def simulate(problem: ControlProblem, law: FeedbackLaw, x0: np.ndarray, config: MpcConfig) -> Trajectory:
     """Run the closed loop from x0; aborts with status "diverged" if the true
-    state leaves the 2x inflated domain box."""
+    state leaves the 2x inflated domain box.
+
+    The problem is specialized once at x0: Example II's target attitude is
+    invariant along true trajectories (C^T B = 0), so it is solved for once.
+    """
+    problem = problem.specialize(0.0, x0)
     box = problem.state_box
     rng = make_rng(config.seed)
     noise_amp = config.noise_fraction * 0.5 * box.width

@@ -7,8 +7,10 @@ arbiter for every sign choice; see README for the full matrices):
   maps inertial to body coordinates, R(0) = I.
 * Body angular velocity w; kinematics v' = E(v) w with E the inverse of the
   (3,2,1) rate map; E(0) = I; singular at theta = +-pi/2 (excluded by domains).
-* skew(a) b = b x a (= -[a]x b), so the wheel dynamics J w' = skew(w) R(v) H + B u
+* S(a) b = b x a (= -[a]x b), so the wheel dynamics J w' = S(w) R(v) H + B u
   conserve C^T (J w - R(v) H) whenever C^T B = 0.
+
+AttitudeProblem.f is the one implementation of these dynamics.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from scipy.optimize import minimize
 from .characteristics import ControlProblem
 from .exceptions import InfeasibleTargetError, SingularityError, TargetSolveError
 from .grid import Box
+from .util import central_difference
 
 _GIMBAL_MARGIN = 1e-9
 
@@ -31,6 +34,7 @@ _GIMBAL_MARGIN = 1e-9
 # Kinematics
 # ---------------------------------------------------------------------------
 
+# Scalar twin of _rotation_cols for one state at a time: a target solve through _rotation_cols takes 2-3x longer.
 def rotation(v: np.ndarray) -> np.ndarray:
     """Inertial-to-body rotation matrix for the (3,2,1) Euler sequence."""
     s1, c1 = math.sin(v[0]), math.cos(v[0])
@@ -40,28 +44,6 @@ def rotation(v: np.ndarray) -> np.ndarray:
         [c2 * c3, c2 * s3, -s2],
         [s1 * s2 * c3 - c1 * s3, s1 * s2 * s3 + c1 * c3, s1 * c2],
         [c1 * s2 * c3 + s1 * s3, c1 * s2 * s3 - s1 * c3, c1 * c2],
-    ])
-
-
-def euler_rates_matrix(v: np.ndarray) -> np.ndarray:
-    """E(v) with v' = E(v) w; raises at gimbal lock."""
-    if abs(abs(float(v[1])) - math.pi / 2) < _GIMBAL_MARGIN:
-        raise SingularityError(f"theta = {float(v[1])} is at gimbal lock")
-    s1, c1 = math.sin(v[0]), math.cos(v[0])
-    t2, c2 = math.tan(v[1]), math.cos(v[1])
-    return np.array([
-        [1.0, s1 * t2, c1 * t2],
-        [0.0, c1, -s1],
-        [0.0, s1 / c2, c1 / c2],
-    ])
-
-
-def skew(a: np.ndarray) -> np.ndarray:
-    """Matrix S with S(a) b = b x a; skew-symmetric, S(a) a = 0."""
-    return np.array([
-        [0.0, a[2], -a[1]],
-        [-a[2], 0.0, a[0]],
-        [a[1], -a[0], 0.0],
     ])
 
 
@@ -95,15 +77,6 @@ class AttitudeParams:
     W: tuple[float, ...]     # weights W1..W5 (W4, W5 unused without terminal cost)
     T: float
     domain: Box              # 6-D state box
-
-
-def attitude_dynamics(params: AttitudeParams, t: float, state: np.ndarray, u: np.ndarray):
-    """(v', w') of the wheel-controlled rigid body at a single state."""
-    v, w = np.asarray(state[:3], dtype=float), np.asarray(state[3:], dtype=float)
-    vdot = euler_rates_matrix(v) @ w
-    RH = rotation(v) @ params.H
-    wdot = (np.cross(RH, w) + params.B @ np.asarray(u, dtype=float)) / params.J
-    return vdot, wdot
 
 
 @dataclass
@@ -249,16 +222,6 @@ def conserved_quantity(params: AttitudeParams, C: np.ndarray, v: np.ndarray, w: 
     return float(C @ (params.J * w - rotation(v) @ params.H))
 
 
-def _fd_grad(fn, v: np.ndarray, step: float = 1e-6) -> np.ndarray:
-    g = np.empty(3)
-    for i in range(3):
-        vp, vm = v.copy(), v.copy()
-        vp[i] += step
-        vm[i] -= step
-        g[i] = (fn(vp) - fn(vm)) / (2 * step)
-    return g
-
-
 def optimal_attitude(params: AttitudeParams, v: np.ndarray, w: np.ndarray) -> ReachableTarget:
     """Attitude maximizing tr R on the reachable manifold through (v, w).
 
@@ -299,36 +262,31 @@ def optimal_attitude(params: AttitudeParams, v: np.ndarray, w: np.ndarray) -> Re
 def _kkt_polish(neg_trace, constraint, v0: np.ndarray, iters: int = 15):
     """Newton iteration on [grad(neg_trace) + mu grad(g); g] with FD derivatives."""
     ve = v0.copy()
-    g_obj = _fd_grad(neg_trace, ve)
-    g_con = _fd_grad(constraint, ve)
+    g_obj = central_difference(neg_trace, ve, 1e-6)
+    g_con = central_difference(constraint, ve, 1e-6)
     denom = float(g_con @ g_con)
     mu = -float(g_obj @ g_con) / denom if denom > 1e-14 else 0.0
     z = np.concatenate([ve, [mu]])
 
     def kkt(zv):
         vv, m = zv[:3], zv[3]
-        return np.concatenate([_fd_grad(neg_trace, vv) + m * _fd_grad(constraint, vv), [constraint(vv)]])
+        return np.concatenate([central_difference(neg_trace, vv, 1e-6) + m * central_difference(constraint, vv, 1e-6),
+                               [constraint(vv)]])
 
     for _ in range(iters):
         F = kkt(z)
         if np.abs(F).max() < 1e-11:
             break
-        Jm = np.empty((4, 4))
-        for i in range(4):
-            zp, zm = z.copy(), z.copy()
-            zp[i] += 1e-6
-            zm[i] -= 1e-6
-            Jm[:, i] = (kkt(zp) - kkt(zm)) / 2e-6
         try:
-            step = np.linalg.solve(Jm, -F)
+            step = np.linalg.solve(central_difference(kkt, z, 1e-6).T, -F)
         except np.linalg.LinAlgError:
             break
         if not np.all(np.isfinite(step)):
             break
         z = z + step
     ve, mu = z[:3], z[3]
-    g_obj = _fd_grad(neg_trace, ve)
-    g_con = _fd_grad(constraint, ve)
+    g_obj = central_difference(neg_trace, ve, 1e-6)
+    g_con = central_difference(constraint, ve, 1e-6)
     kkt_res = float(np.abs(g_obj + mu * g_con).max())
     return ve, kkt_res, abs(constraint(ve))
 

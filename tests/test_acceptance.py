@@ -24,7 +24,6 @@ from hjbsparse.errors import mc_ebvp, worst_case_coefficient, validate
 from hjbsparse.grid import NodeFamily, build_grid, dense_size, grid_size
 from hjbsparse.interp import fit_hierarchical
 from hjbsparse.problems import (
-    attitude_dynamics,
     conserved_quantity,
     example3_value,
     make_example2,
@@ -158,8 +157,7 @@ def test_criterion_8_attitude_physics_invariants():
     controls = rng.uniform(-0.5, 0.5, (10, 2))
 
     def deriv(s, u):
-        vd, wd = attitude_dynamics(p2.params, 0.0, s, u)
-        return np.concatenate([vd, wd])
+        return p2.f(0.0, s[:, None], u[:, None])[:, 0]
 
     dt = 1e-3
     s = x0.copy()

@@ -163,6 +163,15 @@ class TestPipeline:
         assert code == 1
         assert "line 6: missing key 'mesh'" in capsys.readouterr().err
 
+    def test_swapped_records_exit_one(self, ds_path, tmp_path, capsys):
+        lines = ds_path.read_text().splitlines()
+        lines[3], lines[7] = lines[7], lines[3]
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        code = main(["fit", "--dataset", str(bad), "--out", str(tmp_path / "fit.json")])
+        assert code == 1
+        assert "line 4: record id 6, expected 2" in capsys.readouterr().err
+
     def test_header_without_problem_spec_is_refused(self, ds_path, tmp_path, capsys):
         lines = ds_path.read_text().splitlines()
         header = json.loads(lines[0])

@@ -3,6 +3,7 @@ import filecmp
 import numpy as np
 import pytest
 
+from hjbsparse import problems
 from hjbsparse.errors import validate
 from hjbsparse.mpc import (
     HorizonMode,
@@ -107,6 +108,22 @@ class TestSimulateExample1:
         rep = validate(ex1, law, n_samples=25, tight_tol=1e-9, seed=9, workers=workers)
         slack = 5.0 * (rep.mae + 1e-6)
         assert closed_loop >= law.value_at(0.0, x0) - slack
+
+
+class TestSimulateExample2:
+    def test_target_attitude_solved_once(self, monkeypatch):
+        calls = []
+        target = problems.optimal_attitude
+        monkeypatch.setattr(problems, "optimal_attitude", lambda *a: calls.append(a) or target(*a))
+
+        class ZeroLaw:
+            def control(self, t, x):
+                return np.zeros(2)
+
+        x0 = np.array([0.1, -0.1, 0.2, 0.05, 0.0, -0.05])
+        traj = simulate(make_example2(), ZeroLaw(), x0, MpcConfig(dt=0.1, t_max=0.1))
+        assert traj.status == "ok" and len(traj.times) == 2
+        assert len(calls) == 1
 
 
 class TestEmission:

@@ -7,9 +7,8 @@ import pytest
 from hjbsparse.characteristics import ControlProblem
 from hjbsparse.exceptions import InfeasibleTargetError, SingularityError
 from hjbsparse.problems import (
-    attitude_dynamics,
+    _rotation_cols,
     conserved_quantity,
-    euler_rates_matrix,
     example3_control,
     example3_costate,
     example3_value,
@@ -21,25 +20,25 @@ from hjbsparse.problems import (
     optimal_attitude,
     problem_from_spec,
     rotation,
-    skew,
 )
 
 
-def rk4_trajectory(params, x0, u_fn, t_end, dt):
-    def deriv(t, s, u):
-        vd, wd = attitude_dynamics(params, t, s, u)
-        return np.concatenate([vd, wd])
+def state_rate(problem, t, s, u):
+    """problem.f at a single state: (n,) and (m,) in, (n,) out."""
+    return problem.f(t, s[:, None], np.asarray(u, dtype=float)[:, None])[:, 0]
 
+
+def rk4_trajectory(problem, x0, u_fn, t_end, dt):
     s = np.asarray(x0, dtype=float).copy()
     t = 0.0
     states = [s.copy()]
     times = [0.0]
     while t < t_end - 1e-12:
         u = u_fn(t)
-        k1 = deriv(t, s, u)
-        k2 = deriv(t + dt / 2, s + dt / 2 * k1, u)
-        k3 = deriv(t + dt / 2, s + dt / 2 * k2, u)
-        k4 = deriv(t + dt, s + dt * k3, u)
+        k1 = state_rate(problem, t, s, u)
+        k2 = state_rate(problem, t + dt / 2, s + dt / 2 * k1, u)
+        k3 = state_rate(problem, t + dt / 2, s + dt / 2 * k2, u)
+        k4 = state_rate(problem, t + dt, s + dt * k3, u)
         s = s + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         t += dt
         states.append(s.copy())
@@ -50,19 +49,16 @@ def rk4_trajectory(params, x0, u_fn, t_end, dt):
 class TestKinematics:
     def test_zero_rotation(self):
         assert np.allclose(rotation(np.zeros(3)), np.eye(3))
-        assert np.allclose(euler_rates_matrix(np.zeros(3)), np.eye(3))
+        # E(0) = I: at v = 0 the Euler rates are the body rates
+        w = np.array([0.3, -0.7, 1.1])
+        vdot = state_rate(make_example1(), 0.0, np.concatenate([np.zeros(3), w]), np.zeros(3))[:3]
+        assert np.array_equal(vdot, w)
 
-    def test_skew_annihilates_its_own_vector(self):
+    def test_scalar_rotation_matches_vectorized(self):
         rng = np.random.default_rng(0)
-        for _ in range(20):
-            w = rng.uniform(-2, 2, 3)
-            assert np.abs(skew(w) @ w).max() < 1e-15
-            S = skew(w)
-            assert np.abs(S + S.T).max() == 0.0
-
-    def test_skew_is_reversed_cross_product(self):
-        a, b = np.array([1.0, -2.0, 0.5]), np.array([0.3, 0.7, -1.1])
-        assert np.allclose(skew(a) @ b, np.cross(b, a))
+        v = rng.uniform(-math.pi / 3, math.pi / 3, (1000, 3))
+        for vk in v:
+            assert np.array_equal(rotation(vk), _rotation_cols(vk[:, None])[0])
 
     def test_rotation_orthogonal_unit_determinant(self):
         rng = np.random.default_rng(1)
@@ -74,15 +70,16 @@ class TestKinematics:
 
     def test_gimbal_lock_raises(self):
         with pytest.raises(SingularityError):
-            euler_rates_matrix(np.array([0.0, math.pi / 2, 0.0]))
+            state_rate(make_example1(), 0.0, np.array([0.0, math.pi / 2, 0.0, 0.1, 0.2, 0.3]), np.zeros(3))
 
     def test_rotation_rate_consistency(self):
         # d/dt R(v(t)) must equal -[w]x R(v) when v' = E(v) w
+        p = make_example1()
         rng = np.random.default_rng(2)
         for _ in range(20):
             v = rng.uniform(-0.8, 0.8, 3)
             w = rng.uniform(-1, 1, 3)
-            vdot = euler_rates_matrix(v) @ w
+            vdot = state_rate(p, 0.0, np.concatenate([v, w]), np.zeros(3))[:3]
             eps = 1e-6
             Rdot = (rotation(v + eps * vdot) - rotation(v - eps * vdot)) / (2 * eps)
             wx = np.array([[0, -w[2], w[1]], [w[2], 0, -w[0]], [-w[1], w[0], 0]])
@@ -93,9 +90,9 @@ class TestAttitudeDynamics:
     def test_rest_is_equilibrium_in_rates(self):
         p = make_example1()
         v = np.array([0.2, -0.1, 0.3])
-        vdot, wdot = attitude_dynamics(p.params, 0.0, np.concatenate([v, np.zeros(3)]), np.zeros(3))
-        assert np.abs(vdot).max() == 0.0
-        assert np.abs(wdot).max() < 1e-15  # S(0) = 0
+        rate = state_rate(p, 0.0, np.concatenate([v, np.zeros(3)]), np.zeros(3))
+        assert np.abs(rate[:3]).max() == 0.0
+        assert np.abs(rate[3:]).max() < 1e-15  # S(0) = 0
 
     def test_conservation_under_random_controls(self):
         p = make_example2()
@@ -107,7 +104,7 @@ class TestAttitudeDynamics:
         def u_fn(t):
             return controls[min(int(t // 3), 10)]
 
-        times, states = rk4_trajectory(p.params, x0, u_fn, 30.0, 1e-3)
+        times, states = rk4_trajectory(p, x0, u_fn, 30.0, 1e-3)
         c = [conserved_quantity(p.params, C, s[:3], s[3:]) for s in states[:: len(states) // 20]]
         assert max(c) - min(c) <= 1e-8
 
@@ -123,19 +120,15 @@ class TestAttitudeDynamics:
             x = state["x"]
             return -np.linalg.solve(p.params.B, 2.0 * x[:3] + 4.0 * x[3:] * p.params.J)
 
-        def deriv(t, s, u):
-            vd, wd = attitude_dynamics(p.params, t, s, u)
-            return np.concatenate([vd, wd])
-
         s = x0.copy()
         dt = 1e-2
         norms = [np.linalg.norm(s)]
         for k in range(2000):
             u = u_fn(k * dt)
-            k1 = deriv(0, s, u)
-            k2 = deriv(0, s + dt / 2 * k1, u)
-            k3 = deriv(0, s + dt / 2 * k2, u)
-            k4 = deriv(0, s + dt * k3, u)
+            k1 = state_rate(p, 0, s, u)
+            k2 = state_rate(p, 0, s + dt / 2 * k1, u)
+            k3 = state_rate(p, 0, s + dt / 2 * k2, u)
+            k4 = state_rate(p, 0, s + dt * k3, u)
             s = s + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
             state["x"] = s
             norms.append(np.linalg.norm(s))
@@ -315,7 +308,7 @@ class TestOptimalAttitude:
         rng = np.random.default_rng(13)
         x0 = np.concatenate([rng.uniform(-0.3, 0.3, 3), rng.uniform(-0.2, 0.2, 3)])
         controls = rng.uniform(-0.4, 0.4, (7, 2))
-        times, states = rk4_trajectory(p.params, x0, lambda t: controls[min(int(t // 5), 6)], 30.0, 2e-3)
+        times, states = rk4_trajectory(p, x0, lambda t: controls[min(int(t // 5), 6)], 30.0, 2e-3)
         targets = [optimal_attitude(p.params, s[:3], s[3:]).v_e for s in states[:: len(states) // 8]]
         drift = max(np.abs(t - targets[0]).max() for t in targets)
         assert drift <= 1e-6
