@@ -395,7 +395,10 @@ def fit_feedback(problem: ControlProblem, grid: SparseGrid, solution: GridSoluti
         if np.any(bad_levels <= grid.d + 1):
             ids = [int(i) for i in np.nonzero(~mask)[0] if grid.levels[i].sum() <= grid.d + 1]
             raise FitError(f"failed points at coarse levels |i| <= d+1: ids {ids}")
-    v = fit_hierarchical(grid, solution.value_array(), mask=mask)
-    lam = fit_hierarchical(grid, solution.costate_array(), mask=mask)
-    return FeedbackLaw(problem=problem, grid=grid, value=v, costate=lam)
+    # one fit of V and the costate side by side: the poles are found once
+    both = fit_hierarchical(grid, np.column_stack([solution.value_array(), solution.costate_array()]),
+                            mask=mask).surpluses
+    return FeedbackLaw(problem=problem, grid=grid,
+                       value=Interpolant(grid, np.ascontiguousarray(both[:, 0])),
+                       costate=Interpolant(grid, np.ascontiguousarray(both[:, 1:])))
 

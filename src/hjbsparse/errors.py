@@ -12,8 +12,8 @@ exactly; for CGL the primary path uses the logarithmic bound at levels >= 2
 (and the exact value 1 at the single-node level), with numerically sampled
 constants available as an alternative.
 
-The Monte-Carlo estimate replaces the per-point errors by uniform [0, 1]
-draws and evaluates the combination-formula error functional at random
+The Monte-Carlo estimate replaces the per-point errors by uniform [-1, 1]
+draws, fits the interpolant of that error field and evaluates it at random
 points; by linearity the result rescales exactly with the error magnitude.
 """
 
@@ -27,7 +27,7 @@ import numpy as np
 from .characteristics import ControlProblem, FeedbackLaw, map_chunks, point_args, solve_point
 from .exceptions import GridSpecError, ValidationError
 from .grid import NodeFamily, build_grid, level_sum_coefficients, unit_box
-from .interp import eval_combination, lebesgue_bound, lebesgue_constant
+from .interp import fit_hierarchical, lebesgue_bound, lebesgue_constant
 from .util import RNG_NAME, make_rng
 
 
@@ -106,7 +106,7 @@ def coefficient_growth_check(family: NodeFamily, d: int, q_values: list[int],
 
 
 # ---------------------------------------------------------------------------
-# Monte-Carlo estimate of the combination-formula error functional
+# Monte-Carlo estimate of the interpolated error functional
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -131,12 +131,14 @@ def mc_ebvp(family: NodeFamily, d: int, q: int, n_eval: int, seed: int,
 
     Per grid point one uniform [0, 1] draw is rescaled to a signed error
     sample on [-1, 1] (the per-point error model is uniform on [-eps, eps];
-    the ratio e_BVP/eps is the linear combination-formula functional of the
-    rescaled field).  The functional is evaluated at n_eval uniform random
-    points of the unit cube; max and histogram of the ratios are reported.
-    Pass eps_bar to evaluate the functional on an explicit error field
-    instead (it is exactly linear in eps_bar).
+    the ratio e_BVP/eps is the interpolant of the rescaled field).  The
+    interpolant is evaluated at n_eval uniform random points of the unit
+    cube; max and histogram of the ratios are reported.  Pass eps_bar to
+    evaluate it on an explicit error field instead (it is exactly linear in
+    eps_bar).
     """
+    if n_eval < 1:
+        raise GridSpecError(f"n_eval must be >= 1, got {n_eval}")
     grid = build_grid(family, d, q, unit_box(d))
     rng = make_rng(seed)
     if eps_bar is None:
@@ -144,7 +146,7 @@ def mc_ebvp(family: NodeFamily, d: int, q: int, n_eval: int, seed: int,
     elif len(eps_bar) != len(grid):
         raise GridSpecError(f"eps_bar must have one entry per grid point ({len(grid)})")
     pts = rng.uniform(0.0, 1.0, size=(n_eval, d))
-    ratios = eval_combination(grid, eps_bar, pts)
+    ratios = fit_hierarchical(grid, eps_bar).eval(pts)
     counts, edges = np.histogram(ratios, bins=50)
     return McEbvpReport(
         family=family.value, d=d, q=q, grid_points=len(grid), n_eval=n_eval,
@@ -217,6 +219,8 @@ def validate(problem: ControlProblem, law: FeedbackLaw, n_samples: int, tight_to
     Relative error per sample is |err| / max(|oracle|, 1e-12) and its mean is
     reported (the floor avoids blowup where the value crosses zero).
     """
+    if n_samples < 1:
+        raise ValidationError(f"n_samples must be >= 1, got {n_samples}")
     rng = make_rng(seed)
     pts = law.grid.domain.sample(rng, n_samples)
     items = point_args(problem, pts)

@@ -107,25 +107,6 @@ def delta_nodes(family: NodeFamily, i: int) -> np.ndarray:
     return nodes_1d(family, i)[delta_positions(family, i) - 1]
 
 
-def node_ids(family: NodeFamily, i: int, ref_level: int) -> np.ndarray:
-    """Integer identity of each X^i node on the dyadic ladder of ref_level.
-
-    Node k of level i maps to an integer in [0, 2^(ref_level-1)] that is equal
-    for the same geometric node seen from any level (CGL shares the dyadic
-    index ladder of the uniform families).
-    """
-    if i > ref_level:
-        raise GridSpecError(f"level {i} exceeds reference level {ref_level}")
-    n = node_count(family, i)
-    if n == 1:
-        return np.array([2 ** (ref_level - 2)]) if ref_level >= 2 else np.array([0])
-    return np.arange(n) * 2 ** (ref_level - i)
-
-
-def delta_node_ids(family: NodeFamily, i: int, ref_level: int) -> np.ndarray:
-    return node_ids(family, i, ref_level)[delta_positions(family, i) - 1]
-
-
 @dataclass(frozen=True)
 class Box:
     """Axis-aligned physical domain with affine maps to/from the unit cube."""
@@ -160,14 +141,20 @@ class Box:
     def center(self) -> np.ndarray:
         return 0.5 * (self.lo + self.hi)
 
+    def _check_axes(self, pts: np.ndarray) -> None:
+        if pts.ndim == 0 or pts.shape[-1] != self.d:
+            raise GridSpecError(f"expected points with {self.d} coordinates, got shape {pts.shape}")
+
     def to_phys(self, ref: np.ndarray) -> np.ndarray:
         ref = np.asarray(ref, dtype=float)
+        self._check_axes(ref)
         if np.any(ref < -_BOUNDARY_TOL) or np.any(ref > 1.0 + _BOUNDARY_TOL):
             raise OutOfDomainError(f"reference point {ref} outside [0,1]^d")
         return self.lo + ref * self.width
 
     def to_ref(self, phys: np.ndarray) -> np.ndarray:
         phys = np.asarray(phys, dtype=float)
+        self._check_axes(phys)
         ref = (phys - self.lo) / self.width
         if np.any(ref < -_BOUNDARY_TOL) or np.any(ref > 1.0 + _BOUNDARY_TOL):
             raise OutOfDomainError(f"point {phys} outside domain box")
@@ -204,14 +191,6 @@ def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     for first in range(1, total - parts + 2):
         for rest in compositions(total - first, parts - 1):
             yield (first,) + rest
-
-
-@dataclass(frozen=True)
-class GridPoint:
-    index: tuple[int, ...]
-    offset: tuple[int, ...]
-    ref: tuple[float, ...]
-    phys: tuple[float, ...]
 
 
 class SparseGrid:
@@ -266,31 +245,6 @@ class SparseGrid:
     def ref_level(self) -> int:
         """Largest per-axis level that can occur: q - d + 1."""
         return self.q - self.d + 1
-
-    def point(self, idx: int) -> GridPoint:
-        return GridPoint(
-            index=tuple(int(v) for v in self.levels[idx]),
-            offset=tuple(int(v) for v in self.offsets[idx]),
-            ref=tuple(float(v) for v in self.ref[idx]),
-            phys=tuple(float(v) for v in self.phys[idx]),
-        )
-
-    def point_keys(self) -> np.ndarray:
-        """int64 key per point, unique across the grid, shared across levels."""
-        return self._keys_from(self.levels, self.offsets)
-
-    def _keys_from(self, levels: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-        R = self.ref_level
-        stride = 2 ** (R - 1) + 1
-        keys = np.zeros(levels.shape[0], dtype=np.int64)
-        for k in range(self.d):
-            ids = np.empty(levels.shape[0], dtype=np.int64)
-            for lvl in range(1, R + 1):
-                sel = levels[:, k] == lvl
-                if np.any(sel):
-                    ids[sel] = delta_node_ids(self.family, lvl, R)[offsets[sel, k] - 1]
-            keys = keys * stride + ids
-        return keys
 
     def info(self) -> dict:
         return {

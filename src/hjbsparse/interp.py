@@ -1,4 +1,4 @@
-"""Sparse-grid interpolation: basis functions, hierarchical surpluses, combination formula.
+"""Sparse-grid interpolation: basis functions, the hierarchical fit and its evaluation kernel.
 
 The interpolant is kept in hierarchical form: one surplus w^i_j per grid
 point, the coefficient of its cell's tensor delta basis
@@ -6,30 +6,30 @@ a^i1_j1(x_1) * ... * a^id_jd(x_d).  One kernel evaluates it.  For a block of
 query rows it lays out, per axis, the delta bases of levels 1..q-d+1 side by
 side in one 1-D table, gathers every grid point's column from each table,
 multiplies the gathered columns across the axes and takes one product with
-the surpluses.  The same kernel fits the surpluses: points are stored in
-ascending |i|, so the cells fitted before level l are a prefix of the points.
+the surpluses.
 
-eval_combination evaluates the combination formula -- the signed binomial
-combination of full tensor-product interpolants over the top d levels,
-|i| in [q-d+1, q] -- straight from the samples.  It is the same polynomial,
-so it is the reference the hierarchical form is tested against, and it is
-the error functional that errors.mc_ebvp samples.
+The surpluses are fitted by unidirectional hierarchization (Bungartz &
+Griebel, "Sparse grids", Acta Numerica 13, 2004).  Along axis k, the points
+that share their levels and offsets on the other axes form a pole.  The grid
+is downward closed, so every pole is a whole 1-D node set X^L, and the 1-D
+map from its values to its surpluses is the leading block of one triangular
+inverse.  Applying that map along every pole, one axis after the other,
+gives the d-dimensional surpluses.  The combination formula gives the same
+polynomial; the test suite keeps it as the reference for the fit.
 
 The piecewise-linear families use hat functions; the CGL family uses Lagrange
 polynomials over X^i evaluated in barycentric form with the analytically known
 Chebyshev-Lobatto weights.
-
-Surpluses within one level may be computed in any order: cells of equal |i|
-contain disjoint new nodes, and each cell's delta bases vanish at every other
-same-level cell's new nodes, so same-level cells never interact.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from .exceptions import FitError, GridSpecError, OutOfDomainError
 from .grid import (
@@ -39,7 +39,6 @@ from .grid import (
     delta_nodes,
     delta_positions,
     node_count,
-    node_ids,
     nodes_1d,
 )
 
@@ -49,8 +48,6 @@ _NODE_HIT = 1e-14
 # querying 1,000 points on CGL d=6 q=10 peaks at 81 MB with 2**16 and at
 # 99 MB with 2**20.
 _CHUNK = 2**16
-# Query rows per block of eval_combination.
-_COMBINATION_ROWS = 2048
 
 
 # ---------------------------------------------------------------------------
@@ -220,16 +217,21 @@ def _delta_table(family: NodeFamily, ref_level: int, x: np.ndarray) -> np.ndarra
     return np.hstack([delta_basis_matrix(family, lvl, x) for lvl in range(1, ref_level + 1)])
 
 
-def _eval_surpluses(grid: SparseGrid, surpluses: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Sum of surplus x tensor delta basis over the first len(surpluses) grid points, at pts.
+def _columns(grid: SparseGrid) -> np.ndarray:
+    """Each grid point's column in every axis's delta table; shape (n, d).
 
-    In axis k's table a point of level l and offset j reads column
-    base[l] + j - 1, where base[l] counts the delta nodes of the levels below l.
+    A point of level l and offset j on an axis reads column base[l] + j - 1,
+    where base[l] counts the delta nodes of the levels below l.
     """
-    n = surpluses.shape[0]
+    base = np.cumsum([0] + [delta_count(grid.family, lvl) for lvl in range(1, grid.ref_level)])
+    return base[grid.levels - 1] + grid.offsets - 1
+
+
+def _eval_surpluses(grid: SparseGrid, surpluses: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Sum of surplus x tensor delta basis over the grid points, at pts."""
+    n = len(grid)
     R = grid.ref_level
-    base = np.cumsum([0] + [delta_count(grid.family, lvl) for lvl in range(1, R)])
-    cols = base[grid.levels[:n] - 1] + grid.offsets[:n] - 1
+    cols = _columns(grid)
     out = np.empty((pts.shape[0],) + surpluses.shape[1:])
     rows = max(16, _CHUNK // n)
     for lo in range(0, pts.shape[0], rows):
@@ -254,8 +256,53 @@ class Interpolant:
         return _unwrap(_eval_surpluses(self.grid, self.surpluses, pts), single)
 
 
+@lru_cache(maxsize=None)
+def _hierarchization_matrix(family: NodeFamily, ref_level: int) -> np.ndarray:
+    """Inverse of the 1-D delta matrix: the delta bases at the delta nodes, both in table column order.
+
+    A level-l basis vanishes at every node of levels <= l but its own, so the
+    matrix is unit lower triangular and its leading N_L block is level L's
+    alone.  The leading N_L block of the inverse therefore maps values at X^L,
+    in column order, to their 1-D hierarchical surpluses.
+    """
+    nodes = np.concatenate([delta_nodes(family, lvl) for lvl in range(1, ref_level + 1)])
+    inv = solve_triangular(_delta_table(family, ref_level, nodes), np.eye(len(nodes)),
+                           lower=True, unit_diagonal=True)
+    inv.setflags(write=False)
+    return inv
+
+
+def _poles(grid: SparseGrid) -> list[np.ndarray]:
+    """Point ids of the poles of more than one point: one (N_L, poles) array per axis and length N_L.
+
+    An axis-k pole is the set of points that share their columns on the other
+    axes.  The grid is downward closed, so a pole holds columns 0..N_L-1
+    along axis k; sorted by the other columns, then by column k, every pole
+    is a run that starts at column 0.
+    """
+    cols = _columns(grid)
+    poles = []
+    for k in range(grid.d):
+        # lexsort, not one packed integer key: N_R^(d-1) overflows int64 at large d and R
+        order = np.lexsort([cols[:, k]] + [cols[:, j] for j in range(grid.d) if j != k])
+        starts = np.flatnonzero(cols[order, k] == 0)
+        sizes = np.diff(starts, append=len(grid))
+        for size in np.unique(sizes[sizes > 1]):
+            poles.append(order[starts[sizes == size] + np.arange(size)[:, None]])
+    return poles
+
+
+def _hierarchize(inv: np.ndarray, poles: list[np.ndarray], values: np.ndarray) -> np.ndarray:
+    """Apply the 1-D transform along every pole, axis by axis."""
+    w = values.copy()
+    for ids in poles:
+        block = w[ids]
+        w[ids] = (inv[: len(ids), : len(ids)] @ block.reshape(len(ids), -1)).reshape(block.shape)
+    return w
+
+
 def fit_hierarchical(grid: SparseGrid, samples: np.ndarray, mask: np.ndarray | None = None) -> Interpolant:
-    """Compute hierarchical surpluses level by level in ascending |i|.
+    """Compute hierarchical surpluses by unidirectional hierarchization.
 
     samples has one row per grid point, scalar or vector.  Without a mask,
     any non-finite sample raises FitError listing the offending point ids.
@@ -273,65 +320,19 @@ def fit_hierarchical(grid: SparseGrid, samples: np.ndarray, mask: np.ndarray | N
     else:
         mask = np.asarray(mask, dtype=bool)
 
-    surpluses = np.zeros_like(samples)
-    # points are stored in ascending |i|: level l is the slice [start, stop)
-    bounds = np.searchsorted(grid.levels.sum(axis=1), np.arange(grid.d, grid.q + 2))
-    for start, stop in zip(bounds[:-1], bounds[1:]):
-        pred = _eval_surpluses(grid, surpluses[:start], grid.ref[start:stop]) if start else 0.0
-        w = samples[start:stop] - pred
-        w[~mask[start:stop]] = 0.0
-        surpluses[start:stop] = w
+    inv = _hierarchization_matrix(grid.family, grid.ref_level)
+    poles = _poles(grid)
+    # masked samples may be NaN, which the transform would spread along every pole through them
+    values = samples.copy()
+    values[~mask] = 0.0
+    surpluses = _hierarchize(inv, poles, values)
+    # A surplus is the value minus the prediction from the points below it.
+    # Setting a masked value to its prediction zeroes its surplus; the
+    # prediction depends on the masked values below, so go up in |i|.
+    level_sum = grid.levels.sum(axis=1)
+    for l in np.unique(level_sum[~mask]):
+        hit = ~mask & (level_sum == l)
+        values[hit] -= surpluses[hit]
+        surpluses = _hierarchize(inv, poles, values)
+    surpluses[~mask] = 0.0  # exactly, not to rounding
     return Interpolant(grid=grid, surpluses=surpluses)
-
-
-# ---------------------------------------------------------------------------
-# Combination formula
-# ---------------------------------------------------------------------------
-
-def _cell_einsum(tensor: np.ndarray, mats: list[np.ndarray], vector: bool) -> np.ndarray:
-    # einsum sublists, so any d works: tensor axis k is label k, points are d, components d + 1
-    d = len(mats)
-    tail = [d + 1] if vector else []
-    pairs = [x for k, mat in enumerate(mats) for x in (mat, [d, k])]
-    return np.einsum(tensor, list(range(d)) + tail, *pairs, [d] + tail, optimize=True)
-
-
-def eval_combination(grid: SparseGrid, samples: np.ndarray, x) -> np.ndarray | float:
-    """Signed binomial combination of full tensor-product interpolants of the samples at x.
-
-    Sums C(d-1, q-|i|) (-1)^(q-|i|) times the tensor interpolant on
-    X^i1 x ... x X^id over |i| in [q-d+1, q], one einsum per cell.
-    """
-    samples = np.asarray(samples, dtype=float)
-    if samples.shape[0] != len(grid):
-        raise FitError(f"expected {len(grid)} samples, got {samples.shape[0]}")
-    pts, single = _check_ref_points(x, grid.d)
-    d, q, R = grid.d, grid.q, grid.ref_level
-    stride = 2 ** (R - 1) + 1
-    keys = grid.point_keys()
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-
-    cells = []
-    for mi in grid.cells:
-        l = sum(mi)
-        if l < q - d + 1:
-            continue
-        # the cell's full tensor grid X^i1 x ... x X^id, as grid point ids
-        key = np.zeros((1,) * d, dtype=np.int64)
-        for k, lvl in enumerate(mi):
-            shape = [1] * d
-            shape[k] = node_count(grid.family, lvl)
-            key = key * stride + node_ids(grid.family, lvl, R).reshape(shape)
-        gather = order[np.searchsorted(sorted_keys, key.ravel())].reshape(key.shape)
-        cells.append((mi, float((-1) ** (q - l) * math.comb(d - 1, q - l)), samples[gather]))
-
-    vector = samples.ndim == 2
-    out = np.zeros((pts.shape[0],) + samples.shape[1:])
-    for lo in range(0, pts.shape[0], _COMBINATION_ROWS):
-        chunk = pts[lo : lo + _COMBINATION_ROWS]
-        bases = [[x_basis_matrix(grid.family, lvl, chunk[:, k]) for lvl in range(1, R + 1)] for k in range(d)]
-        for mi, coeff, tensor in cells:
-            mats = [bases[k][lvl - 1] for k, lvl in enumerate(mi)]
-            out[lo : lo + _COMBINATION_ROWS] += coeff * _cell_einsum(tensor, mats, vector)
-    return _unwrap(out, single)

@@ -295,6 +295,24 @@ class TestFeedback:
         with pytest.raises(FitError):
             fit_feedback(ex3, grid, bad)
 
+    def test_fit_zeroes_failed_points_above_coarse_levels(self, ex3, ex3_q9):
+        grid, sol, _ = ex3_q9
+        level_sum = grid.levels.sum(axis=1)
+        rng = np.random.default_rng(3)
+        failed = [int(rng.choice(np.flatnonzero(level_sum == l))) for l in range(grid.d + 2, grid.q + 1)]
+        patched = GridSolution(header=sol.header, records=list(sol.records))
+        for i in failed:
+            r = patched.records[i]
+            patched.records[i] = CharacteristicRecord(r.point_id, float("nan"), np.full(3, np.nan),
+                                                      BvpStatus.NEWTON_DIVERGED.value, 1.0, r.mesh)
+        law = fit_feedback(ex3, grid, patched)
+        ok = patched.ok_mask()
+        for it, samples in ((law.value, patched.value_array()), (law.costate, patched.costate_array())):
+            assert np.all(it.surpluses[failed] == 0.0)
+            assert np.all(np.isfinite(it.surpluses))
+            err = np.abs(np.asarray(it.eval(grid.ref))[ok] - samples[ok]).max()
+            assert err <= 1e-12 * np.abs(samples[ok]).max()
+
     def test_fit_tolerates_deep_failures(self, ex3):
         grid = build_grid(NodeFamily.CGL, 4, 6, ex3.domain)
         sol = sweep(ex3, grid, tol=1e-8, workers=2)

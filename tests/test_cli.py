@@ -116,6 +116,16 @@ class TestPipeline:
         assert len(payload["evaluations"]) == 2
         assert "V=" in out
 
+    def test_interp_refuses_a_point_with_too_few_coordinates(self, ds_path, tmp_path, capsys):
+        code = main(["interp", "--dataset", str(ds_path), "--at", "0.1", "--out", str(tmp_path / "i.json")])
+        assert code == 1
+        assert "expected points with 4 coordinates" in capsys.readouterr().err
+
+    def test_validate_refuses_zero_samples(self, ds_path, tmp_path, capsys):
+        code = main(["validate", "--dataset", str(ds_path), "--n", "0", "--out", str(tmp_path / "r.json")])
+        assert code == 1
+        assert "n_samples must be >= 1" in capsys.readouterr().err
+
     def test_validate(self, ds_path, tmp_path, capsys):
         out_path = tmp_path / "report.json"
         code, out = run(["validate", "--dataset", str(ds_path), "--n", "12", "--tol", "1e-8",
@@ -215,6 +225,13 @@ class TestProblemConfig:
             rec = solve_point(overridden, 0.0, np.array(sample["x"]), tol=1e-8)
             assert sample["oracle"] == pytest.approx(rec.V, rel=1e-9, abs=1e-12)
 
+    def test_interp_refuses_a_point_with_too_few_coordinates(self, tmp_path, capsys):
+        code, ds = self.sweep(tmp_path, "--problem", "example1")
+        assert code == 0
+        code = main(["interp", "--dataset", str(ds), "--at", "0.1", "--out", str(tmp_path / "i.json")])
+        assert code == 1
+        assert "expected points with 6 coordinates" in capsys.readouterr().err
+
     def test_mpc_clamps_to_the_dataset_box(self, tmp_path, capsys):
         code, ds = self.sweep(tmp_path, "--problem", "example1", "--domain-id", "d2")
         assert code == 0
@@ -254,6 +271,14 @@ class TestConfigPrecedence:
         assert manifest["seeds"] == [3]
         payload = json.loads(out_path.read_text())
         assert payload["n_eval"] == 5
+
+
+class TestMcEbvpCommand:
+    def test_refuses_zero_points(self, tmp_path, capsys):
+        code = main(["mc-ebvp", "--family", "cgl", "--d", "2", "--q", "6", "--n", "0",
+                     "--out", str(tmp_path / "mc.json")])
+        assert code == 1
+        assert "n_eval must be >= 1" in capsys.readouterr().err
 
 
 class TestOrderCheck:

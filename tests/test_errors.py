@@ -3,6 +3,7 @@ from itertools import product
 
 import numpy as np
 import pytest
+from combination_oracle import eval_combination
 
 import hjbsparse.errors as errmod
 from hjbsparse.characteristics import CharacteristicRecord
@@ -14,7 +15,7 @@ from hjbsparse.errors import (
     validate,
 )
 from hjbsparse.exceptions import ValidationError
-from hjbsparse.grid import NodeFamily
+from hjbsparse.grid import NodeFamily, build_grid
 from hjbsparse.interp import lebesgue_bound, lebesgue_constant
 from hjbsparse.util import make_rng
 
@@ -99,6 +100,17 @@ class TestMcEbvp:
         scaled = mc_ebvp(NodeFamily.CGL, 2, 7, n_eval=80, seed=3, eps_bar=2.5 * eps)
         rel = np.abs(scaled.ratios - 2.5 * base.ratios).max() / max(1e-300, np.abs(scaled.ratios).max())
         assert rel <= 1e-12
+
+    @pytest.mark.parametrize("family, d, q", [(NodeFamily.CGL, 4, 7), (NodeFamily.CLASSIC, 3, 8),
+                                              (NodeFamily.MODIFIED, 3, 8)])
+    def test_ratios_equal_the_combination_formula(self, family, d, q):
+        grid = build_grid(family, d, q)
+        eps = make_rng(4).uniform(-1, 1, len(grid))
+        rep = mc_ebvp(family, d, q, n_eval=60, seed=12, eps_bar=eps)
+        # with eps_bar given, the report's rng draws only the evaluation points
+        pts = make_rng(12).uniform(0.0, 1.0, size=(60, d))
+        oracle = eval_combination(grid, eps, pts)
+        assert np.abs(rep.ratios - oracle).max() <= 1e-12 * np.abs(oracle).max()
 
     def test_histogram_accounts_for_every_point(self):
         rep = mc_ebvp(NodeFamily.CGL, 2, 6, n_eval=150, seed=1)

@@ -136,25 +136,17 @@ class TestGridStructure:
         sums = g1.cell_levels.sum(axis=1)
         assert np.all(np.diff(sums) >= 0)
 
-    def test_point_accessor(self):
-        g = build_grid(NodeFamily.MODIFIED, 2, 3)
-        p = g.point(0)
-        assert p.index == (1, 1)
-        assert p.offset == (1, 1)
-        assert p.ref == (0.5, 0.5)
-
-    def test_point_keys_unique_and_level_stable(self):
+    def test_ref_rows_unique(self):
+        # the combination oracle in the tests finds points by their reference coordinates
         g = build_grid(NodeFamily.CGL, 4, 9)
-        keys = g.point_keys()
-        assert len(np.unique(keys)) == len(g)
+        assert len(np.unique(g.ref, axis=0)) == len(g)
 
     def test_offsets_match_delta_nodes(self):
         g = build_grid(NodeFamily.CGL, 2, 5)
         for idx in range(0, len(g), 7):
-            p = g.point(idx)
             for k in range(2):
-                dn = delta_nodes(g.family, p.index[k])
-                assert p.ref[k] == dn[p.offset[k] - 1]
+                dn = delta_nodes(g.family, g.levels[idx, k])
+                assert g.ref[idx, k] == dn[g.offsets[idx, k] - 1]
 
 
 class TestDomainMaps:
@@ -177,6 +169,13 @@ class TestDomainMaps:
         phys = box.to_phys(pts)
         back = box.to_ref(phys)
         assert np.abs(back - pts).max() <= 1e-14
+
+    def test_points_with_too_few_coordinates_rejected(self):
+        box = Box((0.0, -1.0, 2.0), (1.0, 1.0, 3.0))
+        with pytest.raises(GridSpecError):
+            box.to_ref(np.array([0.5]))
+        with pytest.raises(GridSpecError):
+            box.to_phys(np.full((4, 1), 0.5))
 
     def test_out_of_box_raises(self):
         box = Box((0.0,), (1.0,))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from combination_oracle import eval_combination
 
 from hjbsparse.exceptions import FitError, OutOfDomainError
 from hjbsparse.grid import NodeFamily, build_grid, delta_nodes, nodes_1d
@@ -7,7 +8,6 @@ from hjbsparse.interp import (
     basis_node,
     delta_position,
     eval_basis,
-    eval_combination,
     eval_nodal_basis,
     fit_hierarchical,
     lebesgue_bound,
@@ -109,6 +109,36 @@ class TestHierarchicalFit:
         g = build_grid(NodeFamily.CLASSIC, 2, 4)
         with pytest.raises(FitError):
             fit_hierarchical(g, np.zeros(3))
+
+    def test_masked_points_get_zero_surplus_and_the_rest_interpolate(self):
+        g = build_grid(NodeFamily.CGL, 4, 9)
+        level_sum = g.levels.sum(axis=1)
+        rng = np.random.default_rng(9)
+
+        def finer(p, k):
+            # a point one level finer on axis k at p's coordinates on the other axes
+            levels = g.levels[p] + np.eye(4, dtype=int)[k]
+            rest = np.arange(4) != k
+            same = (g.levels == levels).all(axis=1) & (g.ref[:, rest] == g.ref[p, rest]).all(axis=1)
+            return int(np.flatnonzero(same)[0])
+
+        # a chain of masked points, each below the next, so the |i| order of the passes matters
+        p7 = int(rng.choice(np.flatnonzero(level_sum == 7)))
+        p8 = finer(p7, 0)
+        p9 = finer(p8, 1)
+        others = [int(rng.choice(np.flatnonzero(level_sum == l))) for l in (8, 9)]
+        masked = np.unique([p7, p8, p9, *others])
+        assert len(masked) == 5
+        mask = np.ones(len(g), dtype=bool)
+        mask[masked] = False
+        z = g.ref @ np.array([0.7, 1.3, 0.9, 1.6])
+        f = np.stack([np.sin(2.0 * z), np.exp(-(g.ref**2).sum(axis=1))], axis=1)
+        f[masked] = np.nan
+        it = fit_hierarchical(g, f, mask=mask)
+        assert np.all(it.surpluses[masked] == 0.0)
+        assert np.all(np.isfinite(it.surpluses))
+        # downward closed: each unmasked surplus corrects the interpolant to its own sample
+        assert np.abs(np.asarray(it.eval(g.ref))[mask] - f[mask]).max() <= 1e-12
 
 
 class TestEval:
