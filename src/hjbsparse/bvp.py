@@ -80,6 +80,10 @@ class BvpProblem:
     rhs_jac: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     max_nodes: int = 10_000
 
+    def __post_init__(self):
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"tol must be finite and > 0, got {self.tol}")
+
 
 @dataclass
 class BvpSolution:

@@ -35,7 +35,7 @@ _DEGENERATE_HORIZON = 1e-13
 
 
 class ControlProblem:
-    """Base class for finite-horizon problems with a closed-form Hamiltonian minimizer.
+    """Base class for finite-horizon problems whose Hamiltonian has its argmin u* in closed form.
 
     Subclasses define f, L, h, h_x and u_star; everything is vectorized over a
     trailing point axis (x: (n, P), u: (m, P), t scalar or (P,)).  H_x falls

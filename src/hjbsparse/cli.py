@@ -272,6 +272,9 @@ def cmd_mpc(args, run: _Run, cfg: dict) -> int:
     run.seeds.append(seed)
     mode = HorizonMode.TIME_IN_GRID if problem.time_in_grid else HorizonMode.FIXED_INITIAL
     run.config["horizon_mode"] = mode.value
+    problem = problem.specialize(0.0, x0)  # as simulate does; solves Example II's target attitude once
+    if getattr(problem, "target_attitude", None) is not None:
+        run.config["target_attitude"] = problem.target_attitude.tolist()
     law = fit_feedback(problem, grid, solution)
     config = MpcConfig(dt=dt, t_max=t_max, noise_fraction=noise, horizon_mode=mode, seed=seed)
     traj = simulate(problem, law, x0, config)

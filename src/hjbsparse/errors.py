@@ -61,8 +61,8 @@ def s_values(lambdas: list[float], d: int, q: int) -> dict[int, float]:
 
 def worst_case_coefficient(family: NodeFamily, d: int, q: int, lebesgue_mode: str = "bound") -> BoundReport:
     """Coefficient C with ||e_BVP||_inf < eps * C for per-point errors <= eps."""
-    if q < d:
-        raise GridSpecError(f"need q >= d, got q={q}, d={d}")
+    if q < d or d < 1:
+        raise GridSpecError(f"need q >= d >= 1, got q={q}, d={d}")
     lambdas = _level_lambdas(family, q - d + 1, lebesgue_mode)
     S = s_values(lambdas, d, q)
     coeff = sum(math.comb(d - 1, q - l) * S[l] for l in range(q - d + 1, q + 1))

@@ -34,4 +34,4 @@ class ValidationError(HjbSparseError):
 
 
 class TargetSolveError(HjbSparseError):
-    """Reachable-attitude optimizer found no acceptable KKT point."""
+    """The optimal reachable attitude is not unique (H parallel to the conserved direction)."""

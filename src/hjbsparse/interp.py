@@ -304,21 +304,18 @@ def _hierarchize(inv: np.ndarray, poles: list[np.ndarray], values: np.ndarray) -
 def fit_hierarchical(grid: SparseGrid, samples: np.ndarray, mask: np.ndarray | None = None) -> Interpolant:
     """Compute hierarchical surpluses by unidirectional hierarchization.
 
-    samples has one row per grid point, scalar or vector.  Without a mask,
-    any non-finite sample raises FitError listing the offending point ids.
-    With a mask, excluded points get surplus zero (the interpolant simply is
-    not corrected there); the caller is responsible for level-based policy.
+    samples has one row per grid point, scalar or vector.  Points the mask
+    excludes get surplus zero (the interpolant simply is not corrected there);
+    the caller is responsible for level-based policy.  A non-finite sample at
+    any point the mask keeps raises FitError listing the offending point ids.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.shape[0] != len(grid):
         raise FitError(f"expected {len(grid)} samples, got {samples.shape[0]}")
-    if mask is None:
-        bad = np.nonzero(~np.isfinite(samples if samples.ndim == 1 else samples.sum(axis=1)))[0]
-        if bad.size:
-            raise FitError(f"non-finite samples at grid point ids {bad.tolist()}")
-        mask = np.ones(len(grid), dtype=bool)
-    else:
-        mask = np.asarray(mask, dtype=bool)
+    mask = np.ones(len(grid), dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
+    bad = np.nonzero(mask & ~np.isfinite(samples.reshape(len(grid), -1)).all(axis=1))[0]
+    if bad.size:
+        raise FitError(f"non-finite samples at grid point ids {bad.tolist()}")
 
     inv = _hierarchization_matrix(grid.family, grid.ref_level)
     poles = _poles(grid)

@@ -8,24 +8,25 @@ arbiter for every sign choice; see README for the full matrices):
 * Body angular velocity w; kinematics v' = E(v) w with E the inverse of the
   (3,2,1) rate map; E(0) = I; singular at theta = +-pi/2 (excluded by domains).
 * S(a) b = b x a (= -[a]x b), so the wheel dynamics J w' = S(w) R(v) H + B u
-  conserve C^T (J w - R(v) H) whenever C^T B = 0.
+  conserve c0 = C^T (J w - R(v) H) whenever C^T B = 0.
+* With two wheel pairs the target attitude v_e maximizes tr R subject to
+  C^T R H = -c0 (the attitudes reachable at rest).  It has a closed form
+  (optimal_attitude): R* is the least rotation of H onto the nearest point
+  of the circle {g : |g| = |H|, C.g = -c0}, so v_e depends only on c0.
 
 AttitudeProblem.f is the one implementation of these dynamics.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .characteristics import ControlProblem
 from .exceptions import InfeasibleTargetError, SingularityError, TargetSolveError
 from .grid import Box
-from .util import central_difference
 
 _GIMBAL_MARGIN = 1e-9
 
@@ -33,19 +34,6 @@ _GIMBAL_MARGIN = 1e-9
 # ---------------------------------------------------------------------------
 # Kinematics
 # ---------------------------------------------------------------------------
-
-# Scalar twin of _rotation_cols for one state at a time: a target solve through _rotation_cols takes 2-3x longer.
-def rotation(v: np.ndarray) -> np.ndarray:
-    """Inertial-to-body rotation matrix for the (3,2,1) Euler sequence."""
-    s1, c1 = math.sin(v[0]), math.cos(v[0])
-    s2, c2 = math.sin(v[1]), math.cos(v[1])
-    s3, c3 = math.sin(v[2]), math.cos(v[2])
-    return np.array([
-        [c2 * c3, c2 * s3, -s2],
-        [s1 * s2 * c3 - c1 * s3, s1 * s2 * s3 + c1 * c3, s1 * c2],
-        [c1 * s2 * c3 + s1 * s3, c1 * s2 * s3 - s1 * c3, c1 * c2],
-    ])
-
 
 def _rotation_cols(v: np.ndarray) -> np.ndarray:
     """R(v) for v of shape (3, P); returns (P, 3, 3)."""
@@ -204,8 +192,6 @@ class ReachableTarget:
     C: np.ndarray
     c0: float
     trace: float
-    kkt_residual: float
-    constraint_residual: float
 
 
 def null_direction(B: np.ndarray) -> np.ndarray:
@@ -219,76 +205,43 @@ def null_direction(B: np.ndarray) -> np.ndarray:
 
 
 def conserved_quantity(params: AttitudeParams, C: np.ndarray, v: np.ndarray, w: np.ndarray) -> float:
-    return float(C @ (params.J * w - rotation(v) @ params.H))
+    return float(C @ (params.J * w - _rotation_cols(np.asarray(v, dtype=float)[:, None])[0] @ params.H))
 
 
 def optimal_attitude(params: AttitudeParams, v: np.ndarray, w: np.ndarray) -> ReachableTarget:
-    """Attitude maximizing tr R on the reachable manifold through (v, w).
+    """Attitude maximizing tr R on the reachable manifold through (v, w), in closed form.
 
-    SLSQP from 8 coarse-grid starts, then a Newton polish of the KKT system;
-    multistart guards against local maxima of the trace.
+    At rest the target maps H to g = R H on the circle |g| = |H|, C.g = -c0.
+    tr R = 1 + 2 cos(angle of R), and the least angle that moves H onto g is
+    angle(H, g), about H x g.  So g* is the circle point nearest H, g* =
+    -c0 C + sqrt(|H|^2 - c0^2) P/|P| with P = H - (C.H) C, and R* the rotation
+    about H x g* by angle(H, g*).  v_e depends on (v, w) only through c0.
+    Raises InfeasibleTargetError for |c0| > |H|, and TargetSolveError when H is
+    parallel to C (P = 0) and the optimum is not unique.
     """
-    v = np.asarray(v, dtype=float)
-    w = np.asarray(w, dtype=float)
+    H = params.H
     C = null_direction(params.B)
     c0 = conserved_quantity(params, C, v, w)
-    reach = float(np.linalg.norm(C) * np.linalg.norm(params.H))
-    if abs(c0) > reach * (1 + 1e-9):
-        raise InfeasibleTargetError(f"|c0| = {abs(c0):.6g} exceeds attainable range {reach:.6g}")
-
-    def neg_trace(ve):
-        return -float(np.trace(rotation(ve)))
-
-    def constraint(ve):
-        return float(C @ rotation(ve) @ params.H) + c0
-
-    best = None
-    for corner in itertools.product((-0.6, 0.6), repeat=3):
-        res = minimize(neg_trace, np.array(corner), method="SLSQP",
-                       constraints=[{"type": "eq", "fun": constraint}],
-                       options={"maxiter": 200, "ftol": 1e-12})
-        ve = np.asarray(res.x, dtype=float)
-        ve, kkt, cres = _kkt_polish(neg_trace, constraint, ve)
-        if cres > 1e-9 or kkt > 1e-8:
-            continue
-        tr = -neg_trace(ve)
-        if best is None or tr > best.trace + 1e-12:
-            best = ReachableTarget(v_e=ve, C=C, c0=c0, trace=tr, kkt_residual=kkt, constraint_residual=cres)
-    if best is None:
-        raise TargetSolveError(f"no KKT point found for c0 = {c0:.6g} from any start")
-    return best
-
-
-def _kkt_polish(neg_trace, constraint, v0: np.ndarray, iters: int = 15):
-    """Newton iteration on [grad(neg_trace) + mu grad(g); g] with FD derivatives."""
-    ve = v0.copy()
-    g_obj = central_difference(neg_trace, ve, 1e-6)
-    g_con = central_difference(constraint, ve, 1e-6)
-    denom = float(g_con @ g_con)
-    mu = -float(g_obj @ g_con) / denom if denom > 1e-14 else 0.0
-    z = np.concatenate([ve, [mu]])
-
-    def kkt(zv):
-        vv, m = zv[:3], zv[3]
-        return np.concatenate([central_difference(neg_trace, vv, 1e-6) + m * central_difference(constraint, vv, 1e-6),
-                               [constraint(vv)]])
-
-    for _ in range(iters):
-        F = kkt(z)
-        if np.abs(F).max() < 1e-11:
-            break
-        try:
-            step = np.linalg.solve(central_difference(kkt, z, 1e-6).T, -F)
-        except np.linalg.LinAlgError:
-            break
-        if not np.all(np.isfinite(step)):
-            break
-        z = z + step
-    ve, mu = z[:3], z[3]
-    g_obj = central_difference(neg_trace, ve, 1e-6)
-    g_con = central_difference(constraint, ve, 1e-6)
-    kkt_res = float(np.abs(g_obj + mu * g_con).max())
-    return ve, kkt_res, abs(constraint(ve))
+    norm_h = float(np.linalg.norm(H))
+    if abs(c0) > norm_h * (1 + 1e-9):
+        raise InfeasibleTargetError(f"|c0| = {abs(c0):.6g} exceeds attainable range {norm_h:.6g}")
+    radius = math.sqrt(max(norm_h**2 - c0**2, 0.0))
+    P = H - (C @ H) * C
+    norm_p = float(np.linalg.norm(P))
+    if norm_p > 1e-9 * norm_h:
+        h, g = H / norm_h, (-c0 * C + radius * P / norm_p) / norm_h
+        a, c = np.cross(h, g), float(h @ g)
+    elif abs(c0 + C @ H) <= 1e-9 * norm_h:  # H parallel to C and the circle is the point H: R* = I
+        a, c = np.zeros(3), 1.0
+    else:
+        raise TargetSolveError(f"H is parallel to the null direction C = {C.tolist()}: "
+                               "the optimal attitude is not unique")
+    # Rodrigues rotation of the unit vector h onto g: R = c I + [a]x + a a^T / (1 + c)
+    a_x = np.array([[0.0, -a[2], a[1]], [a[2], 0.0, -a[0]], [-a[1], a[0], 0.0]])
+    R = c * np.eye(3) + a_x + np.outer(a, a) / (1 + c)
+    v_e = np.array([math.atan2(R[1, 2], R[2, 2]), -math.asin(min(max(R[0, 2], -1.0), 1.0)),
+                    math.atan2(R[0, 1], R[0, 0])])
+    return ReachableTarget(v_e=v_e, C=C, c0=c0, trace=1 + 2 * c)
 
 
 # ---------------------------------------------------------------------------

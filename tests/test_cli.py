@@ -9,7 +9,7 @@ from hjbsparse.bvp import BvpStatus
 from hjbsparse.characteristics import solve_point
 from hjbsparse.cli import _workers, build_parser, main
 from hjbsparse.mpc import read_trajectory
-from hjbsparse.problems import make_example1
+from hjbsparse.problems import make_example1, make_example2, null_direction, optimal_attitude
 
 
 def run(args, capsys):
@@ -50,6 +50,21 @@ class TestBasics:
         subs = parser._subparsers._group_actions[0].choices
         assert set(subs) == {"grid", "sweep", "fit", "interp", "bound",
                              "mc-ebvp", "validate", "mpc", "order-check"}
+
+
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+    def test_sweep_refuses_a_tolerance_that_is_not_positive(self, tol, tmp_path, capsys):
+        code = main(["sweep", "--problem", "example3", "--q", "6", "--tol", tol, "--workers", "1",
+                     "--out", str(tmp_path / "ds.jsonl")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "tol" in err and "Traceback" not in err
+
+    def test_bound_refuses_zero_dimensions(self, tmp_path, capsys):
+        code = main(["bound", "--d", "0", "--q", "2", "--out", str(tmp_path / "bound.json")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "coefficient" not in captured.out and "q >= d >= 1" in captured.err
 
 
 class TestGridCommand:
@@ -126,6 +141,13 @@ class TestPipeline:
         assert code == 1
         assert "n_samples must be >= 1" in capsys.readouterr().err
 
+    def test_validate_refuses_a_zero_tolerance(self, ds_path, tmp_path, capsys):
+        code = main(["validate", "--dataset", str(ds_path), "--n", "2", "--tol", "0", "--workers", "1",
+                     "--out", str(tmp_path / "r.json")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "tol" in err and "Traceback" not in err
+
     def test_validate(self, ds_path, tmp_path, capsys):
         out_path = tmp_path / "report.json"
         code, out = run(["validate", "--dataset", str(ds_path), "--n", "12", "--tol", "1e-8",
@@ -199,7 +221,7 @@ class TestPipeline:
 
 
 class TestProblemConfig:
-    """Example I at q=6 is a one-point grid, so each sweep here is a single solve."""
+    """Examples I and II at q=6 are one-point grids, so each sweep here is a single solve."""
 
     def sweep(self, tmp_path, *args):
         path = tmp_path / "ds.jsonl"
@@ -241,6 +263,31 @@ class TestProblemConfig:
                             "--out", str(out)], capsys)
         assert code == 0
         assert "clamps=0" in stdout
+
+    def test_mpc_records_example2_target_attitude(self, tmp_path, capsys):
+        code, ds = self.sweep(tmp_path, "--problem", "example2")
+        assert code == 0
+        x0 = np.array([0.1, -0.1, 0.2, 0.05, 0.0, -0.05])
+        out = tmp_path / "traj.csv"
+        code = main(["mpc", "--dataset", str(ds), "--x0", ",".join(map(str, x0)), "--tmax", "0",
+                     "--out", str(out)])
+        assert code == 0
+        manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
+        target = optimal_attitude(make_example2().params, x0[:3], x0[3:]).v_e
+        assert manifest["config"]["target_attitude"] == target.tolist()
+
+    def test_sweep_with_momentum_along_the_null_direction_exits_one(self, tmp_path, capsys):
+        # the one q=6 point sits at the box centre; its rate w = C/J makes C.J w = 1 and c0 = -9,
+        # so the reachable circle has radius > 0 about the axis through H = 10 C
+        params = make_example2().params
+        C = null_direction(params.B)
+        w = C / params.J
+        domain = [[-0.5, 0.5]] * 3 + [[wk - 0.1, wk + 0.1] for wk in w]
+        config = self.config(tmp_path, {"H": (10.0 * C).tolist(), "domain": domain})
+        code, ds = self.sweep(tmp_path, "--problem", "example2", "--problem-config", config)
+        assert code == 1
+        assert not ds.exists()
+        assert "not unique" in capsys.readouterr().err
 
     @pytest.mark.parametrize("problem", ["example2", "example3"])
     def test_domain_d2_is_refused_without_one(self, problem, tmp_path, capsys):

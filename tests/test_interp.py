@@ -105,6 +105,16 @@ class TestHierarchicalFit:
         with pytest.raises(FitError, match="7"):
             fit_hierarchical(g, vals)
 
+    def test_non_finite_sample_the_mask_keeps_raises_with_ids(self):
+        g = build_grid(NodeFamily.CGL, 3, 7)
+        vals = np.zeros(len(g))
+        mask = np.ones(len(g), dtype=bool)
+        mask[5] = False
+        vals[5] = np.nan  # masked: ignored
+        vals[11] = np.nan
+        with pytest.raises(FitError, match=r"\[11\]"):
+            fit_hierarchical(g, vals, mask=mask)
+
     def test_wrong_length_raises(self):
         g = build_grid(NodeFamily.CLASSIC, 2, 4)
         with pytest.raises(FitError):

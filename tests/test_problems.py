@@ -1,11 +1,13 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from attitude_oracle import rotation, slsqp_attitude
 
 from hjbsparse.characteristics import ControlProblem
-from hjbsparse.exceptions import InfeasibleTargetError, SingularityError
+from hjbsparse.exceptions import InfeasibleTargetError, SingularityError, TargetSolveError
 from hjbsparse.problems import (
     _rotation_cols,
     conserved_quantity,
@@ -19,8 +21,8 @@ from hjbsparse.problems import (
     null_direction,
     optimal_attitude,
     problem_from_spec,
-    rotation,
 )
+from hjbsparse.util import central_difference
 
 
 def state_rate(problem, t, s, u):
@@ -48,25 +50,17 @@ def rk4_trajectory(problem, x0, u_fn, t_end, dt):
 
 class TestKinematics:
     def test_zero_rotation(self):
-        assert np.allclose(rotation(np.zeros(3)), np.eye(3))
+        assert np.allclose(_rotation_cols(np.zeros((3, 1)))[0], np.eye(3))
         # E(0) = I: at v = 0 the Euler rates are the body rates
         w = np.array([0.3, -0.7, 1.1])
         vdot = state_rate(make_example1(), 0.0, np.concatenate([np.zeros(3), w]), np.zeros(3))[:3]
         assert np.array_equal(vdot, w)
 
-    def test_scalar_rotation_matches_vectorized(self):
-        rng = np.random.default_rng(0)
-        v = rng.uniform(-math.pi / 3, math.pi / 3, (1000, 3))
-        for vk in v:
-            assert np.array_equal(rotation(vk), _rotation_cols(vk[:, None])[0])
-
     def test_rotation_orthogonal_unit_determinant(self):
         rng = np.random.default_rng(1)
-        for _ in range(10_000):
-            v = rng.uniform(-math.pi / 3, math.pi / 3, 3)
-            R = rotation(v)
-            assert np.abs(R @ R.T - np.eye(3)).max() <= 1e-12
-            assert abs(np.linalg.det(R) - 1.0) <= 1e-12
+        R = _rotation_cols(rng.uniform(-math.pi / 3, math.pi / 3, (10_000, 3)).T)
+        assert np.abs(R @ R.transpose(0, 2, 1) - np.eye(3)).max() <= 1e-12
+        assert np.abs(np.linalg.det(R) - 1.0).max() <= 1e-12
 
     def test_gimbal_lock_raises(self):
         with pytest.raises(SingularityError):
@@ -281,14 +275,64 @@ class TestOptimalAttitude:
         assert target.trace == pytest.approx(3.0, abs=1e-12)
 
     def test_kkt_and_constraint_residuals(self):
+        # grad tr R(v_e) is parallel to grad C.R(v_e)H, by central differences
         p = make_example2()
         rng = np.random.default_rng(11)
         for _ in range(4):
             v = rng.uniform(-0.5, 0.5, 3)
             w = rng.uniform(-0.35, 0.35, 3)
             tgt = optimal_attitude(p.params, v, w)
-            assert tgt.kkt_residual <= 1e-8
-            assert tgt.constraint_residual <= 1e-9
+
+            def constraint(ve):
+                return float(tgt.C @ rotation(ve) @ p.params.H) + tgt.c0
+
+            g_obj = central_difference(lambda ve: -float(np.trace(rotation(ve))), tgt.v_e, 1e-6)
+            g_con = central_difference(constraint, tgt.v_e, 1e-6)
+            mu = -float(g_obj @ g_con) / float(g_con @ g_con)
+            assert np.abs(g_obj + mu * g_con).max() <= 1e-8
+            assert abs(constraint(tgt.v_e)) <= 1e-9
+            assert tgt.trace == pytest.approx(float(np.trace(rotation(tgt.v_e))), abs=1e-12)
+
+    def test_matches_a_numerical_optimizer(self):
+        p = make_example2()
+        lo, hi = np.array(p.domain.lower), np.array(p.domain.upper)
+        rng = np.random.default_rng(14)
+        for x in rng.uniform(lo, hi, (10, 6)):
+            tgt = optimal_attitude(p.params, x[:3], x[3:])
+            v_ref, trace_ref = slsqp_attitude(p.params, x[:3], x[3:])
+            assert tgt.trace >= trace_ref - 1e-12
+            assert np.abs(rotation(tgt.v_e) - rotation(v_ref)).max() <= 1e-6
+
+    def test_principal_euler_angles_for_random_params(self):
+        # B, H drawn at random: the target is the principal (3,2,1) triple of R*
+        base = make_example2()
+        lo, hi = np.array(base.domain.lower), np.array(base.domain.upper)
+        rng = np.random.default_rng(1)
+        solved = 0
+        for _ in range(60):
+            B, H = rng.uniform(-1, 1, (3, 2)), rng.uniform(-12, 12, 3)
+            x = rng.uniform(lo, hi)
+            params = replace(base.params, B=B, H=H)
+            try:
+                tgt = optimal_attitude(params, x[:3], x[3:])
+            except InfeasibleTargetError:
+                continue
+            solved += 1
+            assert abs(tgt.v_e[0]) <= math.pi and abs(tgt.v_e[2]) <= math.pi
+            assert abs(tgt.v_e[1]) <= math.pi / 2
+            assert abs(tgt.C @ rotation(tgt.v_e) @ H + tgt.c0) <= 1e-12 * np.linalg.norm(H)
+        assert solved >= 50
+
+    def test_momentum_parallel_to_null_direction(self):
+        # H = 10 C: the circle of reachable R H is centred on the axis through H, so
+        # every point of it is optimal, unless it shrinks to H itself (R* = I)
+        p = make_example2()
+        C = null_direction(p.params.B)
+        params = replace(p.params, H=10.0 * C)
+        with pytest.raises(TargetSolveError):
+            optimal_attitude(params, np.zeros(3), C / params.J)
+        at_rest = optimal_attitude(params, np.zeros(3), np.zeros(3))
+        assert np.array_equal(at_rest.v_e, np.zeros(3)) and at_rest.trace == 3.0
 
     def test_fixed_point(self):
         p = make_example2()
