@@ -6,7 +6,9 @@ abscissae) rather than transcribed from a table.  On every mesh subinterval
 the solution polynomial satisfies the ODE exactly at the four Lobatto points;
 the resulting global system is solved by a damped Newton iteration with
 forward-difference Jacobians, and the mesh is refined wherever the sampled
-residual of the collocation polynomial exceeds the tolerance.
+residual of the collocation polynomial exceeds the tolerance.  There is one
+stacked rhs call per forward-difference Jacobian: the M copies of the states,
+each with one component perturbed, go to rhs side by side as M x P columns.
 
 Error control is residual based.  The scaled residual uses a componentwise
 mixed absolute/relative scale with floor 1.0:
@@ -66,7 +68,8 @@ class BvpStatus(Enum):
 class BvpProblem:
     """First-order system y' = rhs(s, y) with two-point boundary conditions.
 
-    rhs is vectorized: rhs(s: (P,), y: (M, P)) -> (M, P).
+    rhs is vectorized: rhs(s: (P,), y: (M, P)) -> (M, P), column p depending
+    only on s[p] and y[:, p] (the Jacobian passes M perturbed copies at once).
     bc(ya: (M,), yb: (M,)) -> (M,) residuals, zero at the solution.
     guess maps s: (P,) -> (M, P); defaults to zeros.
     """
@@ -164,8 +167,8 @@ class _Collocation:
         self._cols = np.concatenate(cols)
         self.nunk = (3 * K + 1) * M
 
-    def eval_f(self, y: np.ndarray) -> np.ndarray:
-        f = np.asarray(self.p.rhs(self.s, y), dtype=float)
+    def eval_f(self, y: np.ndarray, s: np.ndarray | None = None) -> np.ndarray:
+        f = np.asarray(self.p.rhs(self.s if s is None else s, y), dtype=float)
         if f.shape != y.shape:
             raise ValueError(f"rhs returned shape {f.shape}, expected {y.shape}")
         return f
@@ -185,14 +188,13 @@ class _Collocation:
         """Forward differences, step sqrt(eps) * max(|y|, 1); (M, M, P)."""
         if self.p.rhs_jac is not None:
             return np.asarray(self.p.rhs_jac(self.s, y), dtype=float)
-        M = self.M
-        J = np.empty((M, M, y.shape[1]))
+        M, P = y.shape
         step = _SQRT_EPS * np.maximum(np.abs(y), 1.0)
-        for m in range(M):
-            yp = y.copy()
-            yp[m] += step[m]
-            J[:, m, :] = (self.eval_f(yp) - f) / step[m]
-        return J
+        # column block m of the stacked states is y with row m perturbed by step[m]
+        yp = np.tile(y, M).reshape(M, M, P)
+        yp[np.arange(M), np.arange(M)] += step
+        fp = self.eval_f(yp.reshape(M, M * P), np.tile(self.s, M))
+        return (fp.reshape(M, M, P) - f[:, None, :]) / step[None, :, :]
 
     def jacobian(self, y: np.ndarray, f: np.ndarray):
         M, K = self.M, self.K

@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import os
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -26,12 +27,14 @@ import numpy as np
 
 from . import __version__
 from .bvp import BvpProblem, BvpSolution, BvpStatus, solve as bvp_solve
-from .exceptions import FitError, SweepError
+from .exceptions import FitError, InfeasibleTargetError, SweepError, TargetSolveError
 from .grid import Box, NodeFamily, SparseGrid, build_grid
 from .interp import Interpolant, fit_hierarchical
 from .util import central_difference, jsonable
 
 _DEGENERATE_HORIZON = 1e-13
+# record status of a point whose target (specialize) fails, by the error it raised
+_TARGET_FAILURES = {InfeasibleTargetError: "InfeasibleTarget", TargetSolveError: "TargetSolve"}
 
 
 class ControlProblem:
@@ -137,6 +140,9 @@ class CharacteristicRecord:
     status: str
     residual: float
     mesh: int
+    newton: int = 0          # Newton iterations, summed over every solve of the point
+    meshes: int = 0          # meshes tried, summed the same way
+    cont: bool = False       # whether horizon continuation ran
 
     @property
     def converged(self) -> bool:
@@ -144,14 +150,16 @@ class CharacteristicRecord:
 
 
 def _continuation_solve(prob: ControlProblem, t0: float, x0: np.ndarray, tol: float,
-                        stages: int = 4) -> BvpSolution:
+                        stages: int = 4) -> tuple[BvpSolution, int, int]:
     """Backward horizon continuation: solve on [t_m, T] for shrinking t_m,
     warm-starting each stage from the previous solution (clipped-constant
     extension to the left).  Uses nothing but this point's own data, so the
-    causality-free contract is preserved."""
+    causality-free contract is preserved.  Returns the last stage's solution
+    and the Newton iterations and meshes tried summed over the stages."""
     T = prob.horizon
     prev: BvpSolution | None = None
     sol: BvpSolution | None = None
+    newton = meshes = 0
     for k in range(1, stages + 1):
         tm = t0 if k == stages else T - (T - t0) * (k / stages)
         bp = assemble_bvp(prob, tm, x0, tol)
@@ -160,26 +168,38 @@ def _continuation_solve(prob: ControlProblem, t0: float, x0: np.ndarray, tol: fl
             pr = prev
             bp = replace(bp, guess=lambda s, pr=pr, left=left: pr.interpolate(np.clip(s, left, T)))
         sol = bvp_solve(bp)
+        newton, meshes = newton + sol.newton_iterations, meshes + sol.meshes_tried
         if sol.status is not BvpStatus.CONVERGED:
-            return sol
+            break
         prev = sol
-    return sol
+    return sol, newton, meshes
 
 
 def solve_point(problem: ControlProblem, t0: float, x0: np.ndarray, tol: float = 1e-8,
                 point_id: int = 0, return_solution: bool = False):
-    """Value and costate at one point; failures are reported, never fabricated."""
+    """Value and costate at one point; failures are reported, never fabricated.
+
+    A point whose target attitude does not exist or is not unique gets a failed
+    record with status "InfeasibleTarget" or "TargetSolve" and mesh 0.
+    """
     x0 = np.asarray(x0, dtype=float)
     n = problem.n
     # specialize once: for Example II it solves for the target attitude
-    prob = problem.specialize(t0, x0)
+    try:
+        prob = problem.specialize(t0, x0)
+    except tuple(_TARGET_FAILURES) as exc:
+        rec = CharacteristicRecord(point_id, float("nan"), np.full(n, np.nan), _TARGET_FAILURES[type(exc)],
+                                   float("nan"), 0)
+        return (rec, None) if return_solution else rec
     if problem.horizon - t0 <= _DEGENERATE_HORIZON:
         rec = CharacteristicRecord(point_id, float(prob.h(x0)),
                                    np.asarray(prob.h_x(x0), dtype=float), BvpStatus.CONVERGED.value, 0.0, 0)
         return (rec, None) if return_solution else rec
     sol = bvp_solve(assemble_bvp(prob, t0, x0, tol))
+    newton, meshes, cont = sol.newton_iterations, sol.meshes_tried, False
     if sol.status is not BvpStatus.CONVERGED:
-        sol = _continuation_solve(prob, t0, x0, tol)
+        sol, stage_newton, stage_meshes = _continuation_solve(prob, t0, x0, tol)
+        newton, meshes, cont = newton + stage_newton, meshes + stage_meshes, True
     if sol.status is BvpStatus.CONVERGED:
         x_T = sol.y[:n, -1]
         V = float(sol.y[2 * n, -1] + prob.h(x_T))
@@ -187,7 +207,8 @@ def solve_point(problem: ControlProblem, t0: float, x0: np.ndarray, tol: float =
     else:
         V = float("nan")
         lam0 = np.full(n, np.nan)
-    rec = CharacteristicRecord(point_id, V, lam0, sol.status.value, sol.est_residual, sol.n_nodes)
+    rec = CharacteristicRecord(point_id, V, lam0, sol.status.value, sol.est_residual, sol.n_nodes,
+                               newton, meshes, cont)
     return (rec, sol) if return_solution else rec
 
 
@@ -254,8 +275,11 @@ class GridSolution:
                 "V": float(r.V) if np.isfinite(r.V) else None,
                 "lam": [float(v) if np.isfinite(v) else None for v in r.lam],
                 "status": r.status,
-                "res": float(r.residual),
+                "res": float(r.residual) if np.isfinite(r.residual) else None,
                 "mesh": int(r.mesh),
+                "newton": int(r.newton),
+                "meshes": int(r.meshes),
+                "cont": bool(r.cont),
             }
             lines.append(json.dumps(obj, separators=(",", ":")))
         return lines
@@ -281,14 +305,23 @@ def _nan_or_float(v) -> float:
     return np.nan if v is None else float(v)
 
 
+def _bool(v) -> bool:
+    if not isinstance(v, bool):
+        raise ValueError(f"expected true or false, got {v!r}")
+    return v
+
+
 def _record(obj) -> CharacteristicRecord:
     return CharacteristicRecord(
         point_id=_field(obj, "id", int),
         V=_field(obj, "V", _nan_or_float),
         lam=_field(obj, "lam", lambda v: np.array([_nan_or_float(x) for x in v])),
         status=_field(obj, "status", str),
-        residual=_field(obj, "res", float),
+        residual=_field(obj, "res", _nan_or_float),
         mesh=_field(obj, "mesh", int),
+        newton=_field(obj, "newton", int),
+        meshes=_field(obj, "meshes", int),
+        cont=_field(obj, "cont", _bool),
     )
 
 
@@ -331,16 +364,21 @@ def sweep(problem: ControlProblem, grid: SparseGrid, tol: float = 1e-8,
 
     Results are keyed by point id, so the dataset body is identical for any
     worker count.  Raises SweepError if more than failure_threshold of the
-    points fail; individual failures otherwise land in the failure list.
+    points fail (its message gives the failures by status); individual
+    failures otherwise land in the failure list.
     """
     if problem.domain.as_json() != grid.domain.as_json():
         raise SweepError("grid domain does not match problem domain")
     items = [(pid, t0, x0) for pid, (t0, x0) in enumerate(point_args(problem, grid.phys))]
     records = map_chunks(_solve_chunk, problem, tol, items, workers)
 
-    n_fail = sum(not r.converged for r in records)
+    failed = Counter(r.status for r in records if not r.converged)
+    n_fail = sum(failed.values())
     if n_fail > failure_threshold * len(records):
-        raise SweepError(f"{n_fail}/{len(records)} grid points failed to solve")
+        reasons = {status: f": {exc.__doc__}" for exc, status in _TARGET_FAILURES.items()}
+        by_status = "; ".join(f"{status} {count}{reasons.get(status, '')}"
+                              for status, count in sorted(failed.items()))
+        raise SweepError(f"{n_fail}/{len(records)} grid points failed to solve ({by_status})")
     header = {
         "problem": problem.spec(),
         "family": grid.family.value,

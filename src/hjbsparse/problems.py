@@ -69,7 +69,18 @@ class AttitudeParams:
 
 @dataclass
 class AttitudeProblem(ControlProblem):
-    """Quadratic attitude regulation; u* = -(1/W3) B^T J^-1 lam_w in closed form."""
+    """Quadratic attitude regulation; u* = -(1/W3) B^T J^-1 lam_w in closed form.
+
+    H_x is closed form too.  With mu = lam_w / J,
+
+        H = L + lam_v . E(v) w + mu . (R(v) H x w) + mu . B u,
+        H_w = W2 w + E(v)^T lam_v + mu x R(v) H,
+        H_v = W1 (v - v_e) + (d(E w)/dv)^T lam_v + [(dR/dv_k H) . (w x mu)]_k.
+
+    It holds v_e constant, which is true only once specialize has frozen the
+    target: on a reachable problem without target_attitude H_x raises
+    ValueError.  assemble_bvp always specializes.
+    """
 
     params: AttitudeParams = None
     name: str = "attitude"
@@ -108,6 +119,40 @@ class AttitudeProblem(ControlProblem):
         ])
         wdot = (gyro + self.params.B @ u) / self.params.J[:, None]
         return np.vstack([vdot, wdot])
+
+    def H_x(self, t, x, lam, u):
+        if self.reachable and self.target_attitude is None:
+            raise ValueError("the closed-form H_x holds the target attitude constant; "
+                             "call specialize(t0, x0) first to freeze it")
+        W1, W2 = self.params.W[:2]
+        H, J = self.params.H, self.params.J
+        v, w, lam_v = x[:3], x[3:], lam[:3]
+        mu = lam[3:] / J[:, None]
+        self._check_theta(v[1])
+        s1, c1 = np.sin(v[0]), np.cos(v[0])
+        s2, c2 = np.sin(v[1]), np.cos(v[1])
+        s3, c3 = np.sin(v[2]), np.cos(v[2])
+        R = _rotation_cols(v)
+        RH = np.einsum("pij,j->ip", R, H)
+        # v' = E(v) w: d/dphi and d/dtheta of E(v) w, contracted with lam_v
+        a, b = s1 * w[1] + c1 * w[2], c1 * w[1] - s1 * w[2]
+        kin = np.stack([b * (s2 / c2 * lam_v[0] + lam_v[2] / c2) - a * lam_v[1],
+                        a / c2**2 * (lam_v[0] + s2 * lam_v[2]),
+                        np.zeros_like(a)])
+        # mu . (R H x w) = (R H) . (w x mu), and for R = R1(phi) R2(theta) R3(psi):
+        # dR/dphi H = (0, RH_3, -RH_2), dR/dtheta H = (., s1 RH_1, c1 RH_1), dR/dpsi H = R (H_2, -H_1, 0)
+        w_mu = np.cross(w, mu, axis=0)
+        dR_theta0 = -s2 * c3 * H[0] - s2 * s3 * H[1] - c2 * H[2]
+        gyro = np.stack([
+            RH[2] * w_mu[1] - RH[1] * w_mu[2],
+            dR_theta0 * w_mu[0] + RH[0] * (s1 * w_mu[1] + c1 * w_mu[2]),
+            np.einsum("pi,ip->p", R @ np.array([H[1], -H[0], 0.0]), w_mu),
+        ])
+        H_v = W1 * (v - self._target(x)) + kin + gyro
+        E_t_lam = np.stack([lam_v[0], s1 * s2 / c2 * lam_v[0] + c1 * lam_v[1] + s1 / c2 * lam_v[2],
+                            c1 * s2 / c2 * lam_v[0] - s1 * lam_v[1] + c1 / c2 * lam_v[2]])
+        H_w = W2 * w + E_t_lam + np.cross(mu, RH, axis=0)
+        return np.vstack([H_v, H_w])
 
     def _target(self, x: np.ndarray) -> np.ndarray:
         if not self.reachable:

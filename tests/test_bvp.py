@@ -1,6 +1,20 @@
-import numpy as np
+from dataclasses import replace
 
-from hjbsparse.bvp import BvpProblem, BvpStatus, empirical_order, solve, solve_fixed_mesh
+import numpy as np
+import pytest
+
+from hjbsparse.bvp import (
+    _SQRT_EPS,
+    BvpProblem,
+    BvpStatus,
+    _Collocation,
+    _stage_abscissae,
+    empirical_order,
+    solve,
+    solve_fixed_mesh,
+)
+from hjbsparse.characteristics import assemble_bvp
+from hjbsparse.problems import make_example1
 
 
 def sin_problem(tol=1e-8):
@@ -184,3 +198,45 @@ class TestEmpiricalOrder:
         sol = solve_fixed_mesh(sin_problem(), mesh)
         assert sol.status is BvpStatus.CONVERGED
         assert np.array_equal(sol.mesh, mesh)
+
+
+def column_loop_jacobian(coll, y, f):
+    """The forward-difference Jacobian one rhs call per column: the reference for the stacked call."""
+    M = coll.M
+    J = np.empty((M, M, y.shape[1]))
+    step = _SQRT_EPS * np.maximum(np.abs(y), 1.0)
+    for m in range(M):
+        yp = y.copy()
+        yp[m] += step[m]
+        J[:, m, :] = (coll.eval_f(yp) - f) / step[m]
+    return J
+
+
+def example1_characteristic_bvp():
+    return assemble_bvp(make_example1(), 0.0, np.array([0.3, -0.2, 0.4, 0.1, -0.3, 0.2]))
+
+
+class TestStackedJacobian:
+    @pytest.mark.parametrize("make", [example1_characteristic_bvp, expsin_problem],
+                             ids=["example1", "expsin"])
+    def test_equals_the_column_loop_bit_for_bit(self, make):
+        problem = make()
+        coll = _Collocation(problem, np.linspace(*problem.interval, 9))
+        rng = np.random.default_rng(0)
+        y = problem.guess(coll.s) + rng.uniform(-0.5, 0.5, (problem.ndim, len(coll.s)))
+        f = coll.eval_f(y)
+        assert np.array_equal(coll.fd_jacobian(y, f), column_loop_jacobian(coll, y, f))
+
+    def test_one_rhs_call_per_jacobian(self):
+        problem = example1_characteristic_bvp()
+        calls = []
+
+        def counted(s, y):
+            calls.append(y.shape)
+            return problem.rhs(s, y)
+
+        coll = _Collocation(replace(problem, rhs=counted), np.linspace(*problem.interval, 6))
+        y = problem.guess(coll.s)
+        f = problem.rhs(coll.s, y)
+        coll.fd_jacobian(y, f)
+        assert calls == [(13, 13 * len(_stage_abscissae(coll.mesh)))]

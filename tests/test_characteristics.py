@@ -18,7 +18,7 @@ from hjbsparse.characteristics import (
 )
 from hjbsparse.exceptions import FitError, OutOfDomainError, SweepError
 from hjbsparse.grid import Box, NodeFamily, build_grid
-from hjbsparse.problems import make_example2
+from hjbsparse.problems import make_example2, problem_from_spec
 
 
 class ToyLqr(ControlProblem):
@@ -176,6 +176,40 @@ class TestSolvePoint:
         assert math.isnan(rec.V)
         assert np.all(np.isnan(rec.lam))
 
+    def test_counters_sum_over_every_solve(self, ex3, monkeypatch):
+        solves = []
+
+        def counted(problem):
+            sol = bvp_solve(problem)
+            solves.append(sol)
+            return sol
+
+        monkeypatch.setattr(chmod, "bvp_solve", counted)
+        rec = solve_point(ex3, 0.5, np.array([0.1, 0.1, 0.5]), tol=1e-8)
+        assert rec.converged and len(solves) == 1 and not rec.cont
+        assert (rec.newton, rec.meshes) == (solves[0].newton_iterations, solves[0].meshes_tried)
+        assert rec.newton > 0
+
+        def failing(problem):
+            sol = counted(problem)
+            sol.status = BvpStatus.NEWTON_DIVERGED
+            return sol
+
+        solves.clear()
+        monkeypatch.setattr(chmod, "bvp_solve", failing)
+        rec = solve_point(ex3, 0.5, np.array([0.1, 0.1, 0.5]), tol=1e-8)
+        assert rec.cont and len(solves) == 2      # the direct solve and the first continuation stage
+        assert rec.newton == sum(s.newton_iterations for s in solves)
+        assert rec.meshes == sum(s.meshes_tried for s in solves)
+
+    def test_infeasible_target_gives_a_failed_record(self):
+        spec = make_example2().spec()
+        spec["params"]["H"] = [0.1, 0.1, 0.05]
+        rec = solve_point(problem_from_spec(spec), 0.0, np.array([0.0, 0.0, 0.0, 0.0, 0.0, math.pi / 8]))
+        assert rec.status == "InfeasibleTarget" and not rec.converged
+        assert math.isnan(rec.V) and np.all(np.isnan(rec.lam))
+        assert (rec.mesh, rec.newton, rec.meshes, rec.cont) == (0, 0, 0, False)
+
     def test_value_consistency_along_characteristic(self, ex3):
         # dynamic programming along the characteristic: re-solving from a
         # midpoint reproduces z(T) + h - z(t_mid)
@@ -236,6 +270,19 @@ class TestSweep:
         with pytest.raises(SweepError):
             sweep(ex3, grid, tol=1e-8, workers=1)
 
+    def test_infeasible_targets_do_not_abort_the_sweep(self, workers):
+        # H = [0.1, 0.1, 0.05]: at 2 of the 13 points of CGL d6 q7 |c0| > |H|
+        spec = make_example2().spec()
+        spec["params"]["H"] = [0.1, 0.1, 0.05]
+        problem = problem_from_spec(spec)
+        grid = build_grid(NodeFamily.CGL, 6, 7, problem.domain)
+        with pytest.raises(SweepError, match=r"2/13 grid points failed to solve \(InfeasibleTarget 2: "):
+            sweep(problem, grid, tol=1e-8, workers=workers)
+        sol = sweep(problem, grid, tol=1e-8, workers=workers, failure_threshold=1.0)
+        statuses = [r.status for r in sol.records]
+        assert statuses.count(BvpStatus.CONVERGED.value) == 11
+        assert statuses.count("InfeasibleTarget") == 2
+
     def test_dataset_round_trip(self, tmp_path, ex3):
         grid = build_grid(NodeFamily.CGL, 4, 6, ex3.domain)
         sol = sweep(ex3, grid, tol=1e-8, workers=2)
@@ -249,6 +296,7 @@ class TestSweep:
             assert a.V == b.V
             assert np.array_equal(a.lam, b.lam)
             assert a.status == b.status and a.residual == b.residual and a.mesh == b.mesh
+            assert (a.newton, a.meshes, a.cont) == (b.newton, b.meshes, b.cont)
 
     def test_causality_freedom_bit_identical_resolve(self, ex3):
         grid = build_grid(NodeFamily.CGL, 4, 6, ex3.domain)

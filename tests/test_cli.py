@@ -195,6 +195,17 @@ class TestPipeline:
         assert code == 1
         assert "line 6: missing key 'mesh'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["newton", "meshes", "cont"])
+    def test_record_missing_solver_counter_exits_one(self, key, ds_path, tmp_path, capsys):
+        lines = ds_path.read_text().splitlines()
+        rec = json.loads(lines[5])
+        del rec[key]
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join([*lines[:5], json.dumps(rec), *lines[6:]]) + "\n")
+        code = main(["fit", "--dataset", str(bad), "--out", str(tmp_path / "fit.json")])
+        assert code == 1
+        assert f"line 6: missing key {key!r}" in capsys.readouterr().err
+
     def test_swapped_records_exit_one(self, ds_path, tmp_path, capsys):
         lines = ds_path.read_text().splitlines()
         lines[3], lines[7] = lines[7], lines[3]

@@ -175,6 +175,30 @@ class TestProblemFactories:
             assert np.abs(dH).max() <= 1e-6
 
 
+class TestAttitudeHamiltonianGradient:
+    @pytest.mark.parametrize("maker", [make_example1, make_example2])
+    def test_closed_form_matches_finite_differences(self, maker):
+        problem = maker()
+        rng = np.random.default_rng(15)
+        lo, hi = np.array(problem.state_box.lower), np.array(problem.state_box.upper)
+        x = rng.uniform(lo, hi, (200, 6)).T
+        if problem.reachable:
+            problem = problem.specialize(0.0, x[:, 0])
+        lam = rng.uniform(-2, 2, (6, 200))
+        u = rng.uniform(-1, 1, (problem.m, 200))
+        got = problem.H_x(0.3, x, lam, u)
+        ref = ControlProblem.H_x(problem, 0.3, x, lam, u)
+        assert got.shape == ref.shape == (6, 200)
+        assert np.abs(got - ref).max() <= 1e-6 * np.abs(ref).max()
+
+    def test_unspecialized_reachable_target_raises(self):
+        problem = make_example2()
+        x, lam, u = np.full((6, 1), 0.1), np.ones((6, 1)), np.zeros((2, 1))
+        with pytest.raises(ValueError, match="specialize"):
+            problem.H_x(0.0, x, lam, u)
+        assert np.all(np.isfinite(problem.specialize(0.0, x[:, 0]).H_x(0.0, x, lam, u)))
+
+
 class TestProblemSpec:
     @pytest.mark.parametrize("make", [
         lambda: make_example1("d1"),
