@@ -6,9 +6,13 @@ abscissae) rather than transcribed from a table.  On every mesh subinterval
 the solution polynomial satisfies the ODE exactly at the four Lobatto points;
 the resulting global system is solved by a damped Newton iteration with
 forward-difference Jacobians, and the mesh is refined wherever the sampled
-residual of the collocation polynomial exceeds the tolerance.  There is one
-stacked rhs call per forward-difference Jacobian: the M copies of the states,
-each with one component perturbed, go to rhs side by side as M x P columns.
+residual of the collocation polynomial exceeds the tolerance.
+
+The system has one block layout, almost block diagonal (see _Collocation):
+each interval owns three block rows of the residual and one dense (3M x 4M)
+Jacobian block.  Residual, Jacobian and residual sampling are whole-mesh
+array operations, with one stacked rhs call per Jacobian (M perturbed copies
+of the states as M x P columns) and one per residual sampling (5K columns).
 
 Error control is residual based.  The scaled residual uses a componentwise
 mixed absolute/relative scale with floor 1.0:
@@ -134,38 +138,32 @@ def _initial_y(problem: BvpProblem, s: np.ndarray) -> np.ndarray:
 
 
 class _Collocation:
-    """Residual/Jacobian assembly for one fixed mesh."""
+    """Residual, Jacobian and residual sampling on one fixed mesh, in one block layout.
+
+    Unknown pM + m is y[m, p] at collocation point p.  Interval k reads points
+    3k..3k+3 (columns 3kM..3kM+4M) and owns the rows of its stages 2..4 (rows
+    3kM..3kM+3M); the M boundary rows come last.  Its block (i, j) is
+    delta_ij I - delta_j0 I - h_k a_ij Jf(s_kj), all held as one (K, 3, 4, M, M)
+    array: the almost-block-diagonal form of Ascher, Mattheij & Russell,
+    Numerical Solution of BVPs for ODEs (SIAM 1995), ch. 7.
+    """
 
     def __init__(self, problem: BvpProblem, mesh: np.ndarray):
         self.p = problem
         self.mesh = mesh
         self.h = np.diff(mesh)
-        self.K = len(mesh) - 1
-        self.M = problem.ndim
+        self.K = K = len(mesh) - 1
+        self.M = M = problem.ndim
         self.s = _stage_abscissae(mesh)
-        self.cols = 3 * np.arange(self.K)[:, None] + np.arange(4)[None, :]  # (K, 4)
-        self._index_structure()
-
-    def _index_structure(self):
-        M, K = self.M, self.K
-        rows, cols = [], []
-        for i in range(3):               # stages 2..4
-            for j in range(4):
-                rb = (3 * np.arange(K) + i) * M
-                cb = self.cols[:, j] * M
-                r = rb[:, None, None] + np.arange(M)[None, :, None] + np.zeros(M, dtype=int)[None, None, :]
-                c = cb[:, None, None] + np.zeros(M, dtype=int)[None, :, None] + np.arange(M)[None, None, :]
-                rows.append(r.ravel())
-                cols.append(c.ravel())
-        rbc = 3 * K * M + np.arange(M)
-        for cb in (0, 3 * K * M):
-            r = rbc[:, None] + np.zeros(M, dtype=int)[None, :]
-            c = cb + np.zeros(M, dtype=int)[:, None] + np.arange(M)[None, :]
-            rows.append(r.ravel())
-            cols.append(c.ravel())
-        self._rows = np.concatenate(rows)
-        self._cols = np.concatenate(cols)
+        self.cols = 3 * np.arange(K)[:, None] + np.arange(4)[None, :]  # (K, 4)
         self.nunk = (3 * K + 1) * M
+        # COO indices of the interval blocks (K, 3, 4, M, M), then of the boundary rows
+        first = 3 * M * np.arange(K).reshape(K, 1, 1, 1, 1)
+        rows = np.broadcast_to(first + np.arange(3 * M).reshape(3, 1, M, 1), (K, 3, 4, M, M))
+        cols = np.broadcast_to(first + np.arange(4 * M).reshape(1, 4, 1, M), (K, 3, 4, M, M))
+        bc_rows, bc_cols = np.divmod(3 * K * M * M + np.arange(M * M), M)
+        self._rows = np.concatenate([rows.ravel(), bc_rows, bc_rows])
+        self._cols = np.concatenate([cols.ravel(), bc_cols, 3 * K * M + bc_cols])
 
     def eval_f(self, y: np.ndarray, s: np.ndarray | None = None) -> np.ndarray:
         f = np.asarray(self.p.rhs(self.s if s is None else s, y), dtype=float)
@@ -174,15 +172,11 @@ class _Collocation:
         return f
 
     def residual(self, y: np.ndarray, f: np.ndarray) -> np.ndarray:
-        M, K = self.M, self.K
-        F = np.empty(self.nunk)
         y_stage = y[:, self.cols]                      # (M, K, 4)
         f_stage = f[:, self.cols]
-        for i in range(1, 4):
-            G = y_stage[:, :, i] - y_stage[:, :, 0] - self.h * np.einsum("j,mkj->mk", _A[i], f_stage)
-            F[(3 * np.arange(K) + (i - 1))[:, None] * M + np.arange(M)[None, :]] = G.T
-        F[3 * K * M :] = self.p.bc(y[:, 0], y[:, -1])
-        return F
+        quad = np.stack([np.einsum("j,mkj->mk", _A[i], f_stage) for i in range(1, 4)], axis=-1)
+        G = y_stage[:, :, 1:] - y_stage[:, :, :1] - self.h[:, None] * quad   # (M, K, 3)
+        return np.concatenate([G.transpose(1, 2, 0).ravel(), self.p.bc(y[:, 0], y[:, -1])])
 
     def fd_jacobian(self, y: np.ndarray, f: np.ndarray) -> np.ndarray:
         """Forward differences, step sqrt(eps) * max(|y|, 1); (M, M, P)."""
@@ -197,18 +191,12 @@ class _Collocation:
         return (fp.reshape(M, M, P) - f[:, None, :]) / step[None, :, :]
 
     def jacobian(self, y: np.ndarray, f: np.ndarray):
-        M, K = self.M, self.K
-        Jf = self.fd_jacobian(y, f).transpose(2, 0, 1)      # (P, M, M)
-        eye = np.eye(M)
-        data = []
-        for i in range(1, 4):
-            for j in range(4):
-                blocks = -(self.h * _A[i, j])[:, None, None] * Jf[self.cols[:, j]]
-                if j == i:
-                    blocks = blocks + eye
-                if j == 0:
-                    blocks = blocks - eye
-                data.append(blocks.ravel())
+        M = self.M
+        Jf = self.fd_jacobian(y, f).transpose(2, 0, 1)[self.cols]     # (K, 4, M, M)
+        blocks = -(self.h[:, None, None] * _A[1:])[..., None, None] * Jf[:, None]   # (K, 3, 4, M, M)
+        eye = np.eye(M)                 # delta_ij I - delta_j0 I, on those blocks only
+        blocks[:, np.arange(3), np.arange(1, 4)] += eye
+        blocks[:, :, 0] -= eye
         ya, yb = y[:, 0], y[:, -1]
         r0 = self.p.bc(ya, yb)
         dba = np.empty((M, M))
@@ -222,9 +210,8 @@ class _Collocation:
             yb_p = yb.copy()
             yb_p[m] += db
             dbb[:, m] = (self.p.bc(ya, yb_p) - r0) / db
-        data.append(dba.ravel())
-        data.append(dbb.ravel())
-        mat = coo_matrix((np.concatenate(data), (self._rows, self._cols)), shape=(self.nunk, self.nunk))
+        data = np.concatenate([blocks.ravel(), dba.ravel(), dbb.ravel()])
+        mat = coo_matrix((data, (self._rows, self._cols)), shape=(self.nunk, self.nunk))
         return mat.tocsc()
 
     def scale(self, y: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -279,15 +266,12 @@ class _Collocation:
         M, K = self.M, self.K
         f_stage = f[:, self.cols]                                   # (M, K, 4)
         y_left = y[:, self.cols[:, 0]]                              # (M, K)
-        scale = self.scale(y, f)
-        res = np.zeros(K)
-        for r, theta in enumerate(_RES_THETA):
-            s_mid = self.mesh[:-1] + theta * self.h
-            y_mid = y_left + self.h * np.einsum("j,mkj->mk", _RES_B[r], f_stage)
-            sprime = np.einsum("j,mkj->mk", _RES_L[r], f_stage)
-            f_mid = np.asarray(self.p.rhs(s_mid, y_mid), dtype=float)
-            res = np.maximum(res, (np.abs(sprime - f_mid) / scale[:, None]).max(axis=0))
-        return res
+        # the 5 sample points of every interval side by side: (M, 5, K)
+        s_mid = self.mesh[:-1] + _RES_THETA[:, None] * self.h
+        y_mid = np.stack([y_left + self.h * np.einsum("j,mkj->mk", b, f_stage) for b in _RES_B], axis=1)
+        sprime = np.stack([np.einsum("j,mkj->mk", lag, f_stage) for lag in _RES_L], axis=1)
+        f_mid = self.eval_f(y_mid.reshape(M, 5 * K), s_mid.ravel()).reshape(M, 5, K)
+        return (np.abs(sprime - f_mid) / self.scale(y, f)[:, None, None]).max(axis=(0, 1))
 
 
 def _pack_solution(coll: _Collocation, y: np.ndarray, f: np.ndarray, status: BvpStatus,

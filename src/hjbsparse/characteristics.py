@@ -150,12 +150,13 @@ class CharacteristicRecord:
 
 
 def _continuation_solve(prob: ControlProblem, t0: float, x0: np.ndarray, tol: float,
-                        stages: int = 4) -> tuple[BvpSolution, int, int]:
+                        stages: int) -> tuple[BvpSolution, int, int]:
     """Backward horizon continuation: solve on [t_m, T] for shrinking t_m,
     warm-starting each stage from the previous solution (clipped-constant
-    extension to the left).  Uses nothing but this point's own data, so the
-    causality-free contract is preserved.  Returns the last stage's solution
-    and the Newton iterations and meshes tried summed over the stages."""
+    extension to the left); one stage is the direct solve at t0 from a cold
+    start.  Uses nothing but this point's own data, so the causality-free
+    contract is preserved.  Returns the last stage's solution and the Newton
+    iterations and meshes tried summed over the stages."""
     T = prob.horizon
     prev: BvpSolution | None = None
     sol: BvpSolution | None = None
@@ -195,11 +196,13 @@ def solve_point(problem: ControlProblem, t0: float, x0: np.ndarray, tol: float =
         rec = CharacteristicRecord(point_id, float(prob.h(x0)),
                                    np.asarray(prob.h_x(x0), dtype=float), BvpStatus.CONVERGED.value, 0.0, 0)
         return (rec, None) if return_solution else rec
-    sol = bvp_solve(assemble_bvp(prob, t0, x0, tol))
-    newton, meshes, cont = sol.newton_iterations, sol.meshes_tried, False
-    if sol.status is not BvpStatus.CONVERGED:
-        sol, stage_newton, stage_meshes = _continuation_solve(prob, t0, x0, tol)
-        newton, meshes, cont = newton + stage_newton, meshes + stage_meshes, True
+    newton = meshes = 0
+    for stages in (1, 4):              # the direct solve, then continuation if it fails
+        sol, stage_newton, stage_meshes = _continuation_solve(prob, t0, x0, tol, stages)
+        newton, meshes = newton + stage_newton, meshes + stage_meshes
+        if sol.status is BvpStatus.CONVERGED:
+            break
+    cont = stages > 1
     if sol.status is BvpStatus.CONVERGED:
         x_T = sol.y[:n, -1]
         V = float(sol.y[2 * n, -1] + prob.h(x_T))

@@ -30,7 +30,7 @@ from .errors import coefficient_growth_check, mc_ebvp, worst_case_coefficient, v
 from .exceptions import HjbSparseError
 from .grid import Box, NodeFamily, build_grid, dense_size, grid_size
 from .interp import fit_hierarchical
-from .mpc import HorizonMode, MpcConfig, emit_trajectory, simulate
+from .mpc import HorizonMode, MpcConfig, check_x0, emit_trajectory, simulate
 from .problems import make_problem, problem_from_spec
 from .util import jsonable, sha256_file
 
@@ -257,7 +257,7 @@ def cmd_validate(args, run: _Run, cfg: dict) -> int:
 
 def cmd_mpc(args, run: _Run, cfg: dict) -> int:
     problem, solution, grid = _load_dataset(args, run)
-    x0 = _parse_vector(args.x0)
+    x0 = check_x0(problem, _parse_vector(args.x0))
     noise = float(_resolve(run, args.noise, cfg, "noise", 0.0))
     seed = int(_resolve(run, args.seed, cfg, "seed", 0))
     t_max = float(_resolve(run, args.tmax, cfg, "tmax", problem.horizon))

@@ -30,6 +30,8 @@ from .grid import NodeFamily, build_grid, level_sum_coefficients, unit_box
 from .interp import fit_hierarchical, lebesgue_bound, lebesgue_constant
 from .util import RNG_NAME, make_rng
 
+_MAX_ORACLE_FAILURES = 0.05        # failed share of oracle solves that invalidates a report
+
 
 @dataclass
 class BoundReport:
@@ -209,12 +211,12 @@ def _oracle_chunk(args):
 
 
 def validate(problem: ControlProblem, law: FeedbackLaw, n_samples: int, tight_tol: float,
-             seed: int, workers: int | None = None, max_failure_fraction: float = 0.05) -> ValidationReport:
+             seed: int, workers: int | None = None) -> ValidationReport:
     """Compare interpolated V with independent solves at tight_tol on random points.
 
     Sampling is uniform over the physical box (time axis included when the
     grid carries it).  Oracle failures are excluded and counted; more than
-    max_failure_fraction of them invalidates the report.
+    5% of them invalidates the report.
 
     Relative error per sample is |err| / max(|oracle|, 1e-12) and its mean is
     reported (the floor avoids blowup where the value crosses zero).
@@ -228,7 +230,7 @@ def validate(problem: ControlProblem, law: FeedbackLaw, n_samples: int, tight_to
     oracle = np.array(map_chunks(_oracle_chunk, problem, tight_tol, items, workers))
     ok = np.isfinite(oracle)
     n_fail = int((~ok).sum())
-    if n_fail > max_failure_fraction * n_samples:
+    if n_fail > _MAX_ORACLE_FAILURES * n_samples:
         raise ValidationError(f"{n_fail}/{n_samples} oracle solves failed")
 
     err = np.asarray(v_hat)[ok] - oracle[ok]

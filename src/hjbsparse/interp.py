@@ -48,6 +48,7 @@ _NODE_HIT = 1e-14
 # querying 1,000 points on CGL d=6 q=10 peaks at 81 MB with 2**16 and at
 # 99 MB with 2**20.
 _CHUNK = 2**16
+_LEBESGUE_SAMPLES = 4096           # Lebesgue function samples per node interval
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +142,7 @@ def delta_position(family: NodeFamily, i: int, j: int) -> int:
 # Lebesgue constants
 # ---------------------------------------------------------------------------
 
-def lebesgue_constant(family: NodeFamily, i: int, samples_per_interval: int = 4096) -> float:
+def lebesgue_constant(family: NodeFamily, i: int) -> float:
     """Lebesgue constant of level-i nodal interpolation on [0, 1].
 
     Hat bases form a partition of unity, so the uniform families return
@@ -160,7 +161,7 @@ def lebesgue_constant(family: NodeFamily, i: int, samples_per_interval: int = 40
 
     best_x, best_v = 0.0, 1.0
     for a, b in zip(nodes[:-1], nodes[1:]):
-        xs = np.linspace(a, b, samples_per_interval)
+        xs = np.linspace(a, b, _LEBESGUE_SAMPLES)
         vals = leb(xs)
         k = int(np.argmax(vals))
         if vals[k] > best_v:

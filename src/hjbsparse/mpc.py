@@ -18,6 +18,8 @@ import numpy as np
 from .characteristics import ControlProblem, FeedbackLaw
 from .util import RNG_NAME, make_rng
 
+_SUBSTEPS = 20                          # integrator steps per hold interval
+
 
 class HorizonMode(Enum):
     FIXED_INITIAL = "fixed-initial"     # always query the t = 0 dataset
@@ -30,14 +32,11 @@ class MpcConfig:
     t_max: float
     noise_fraction: float = 0.0         # uniform noise amplitude, fraction of axis halfwidth
     horizon_mode: HorizonMode = HorizonMode.FIXED_INITIAL
-    substeps: int = 20                  # integrator steps per hold interval
     seed: int = 0
 
     def __post_init__(self):
         if not (np.isfinite(self.dt) and self.dt > 0 and np.isfinite(self.t_max) and self.t_max >= 0):
             raise ValueError(f"need a finite dt > 0 and t_max >= 0, got dt={self.dt}, t_max={self.t_max}")
-        if self.substeps < 1:
-            raise ValueError("substeps must be >= 1")
         if self.noise_fraction < 0:
             raise ValueError("noise magnitude must be >= 0")
 
@@ -57,7 +56,7 @@ class Trajectory:
 
 
 def _rk4_hold(problem: ControlProblem, t0: float, x: np.ndarray, u: np.ndarray,
-              dt: float, substeps: int) -> tuple[np.ndarray, float]:
+              dt: float) -> tuple[np.ndarray, float]:
     """Integrate the true dynamics and running cost over one hold interval."""
     uu = u[:, None]
 
@@ -67,10 +66,10 @@ def _rk4_hold(problem: ControlProblem, t0: float, x: np.ndarray, u: np.ndarray,
         dz = float(problem.L(t, xc, uu)[0])
         return np.concatenate([dx, [dz]])
 
-    h = dt / substeps
+    h = dt / _SUBSTEPS
     xz = np.concatenate([x, [0.0]])
     t = t0
-    for _ in range(substeps):
+    for _ in range(_SUBSTEPS):
         k1 = deriv(t, xz)
         k2 = deriv(t + h / 2, xz + h / 2 * k1)
         k3 = deriv(t + h / 2, xz + h / 2 * k2)
@@ -80,6 +79,14 @@ def _rk4_hold(problem: ControlProblem, t0: float, x: np.ndarray, u: np.ndarray,
     return xz[:-1], float(xz[-1])
 
 
+def check_x0(problem: ControlProblem, x0) -> np.ndarray:
+    """x0 as a float array; ValueError unless it is problem.n finite numbers."""
+    x = np.asarray(x0, dtype=float)
+    if x.shape != (problem.n,) or not np.all(np.isfinite(x)):
+        raise ValueError(f"x0 must be {problem.n} finite numbers, got {x.tolist()}")
+    return x
+
+
 def simulate(problem: ControlProblem, law: FeedbackLaw, x0: np.ndarray, config: MpcConfig) -> Trajectory:
     """Run the closed loop from x0; aborts with status "diverged" if the true
     state leaves the 2x inflated domain box.
@@ -87,6 +94,7 @@ def simulate(problem: ControlProblem, law: FeedbackLaw, x0: np.ndarray, config: 
     The problem is specialized once at x0: Example II's target attitude is
     invariant along true trajectories (C^T B = 0), so it is solved for once.
     """
+    x0 = check_x0(problem, x0)
     problem = problem.specialize(0.0, x0)
     box = problem.state_box
     rng = make_rng(config.seed)
@@ -97,7 +105,7 @@ def simulate(problem: ControlProblem, law: FeedbackLaw, x0: np.ndarray, config: 
     clamp_events: list[int] = []
     status = "ok"
 
-    x = np.asarray(x0, dtype=float).copy()
+    x = x0.copy()
     acc = 0.0
     T = problem.horizon
     for k in range(n_steps + 1):
@@ -127,7 +135,7 @@ def simulate(problem: ControlProblem, law: FeedbackLaw, x0: np.ndarray, config: 
             break
         if k == n_steps:
             break
-        x, dz = _rk4_hold(problem, t_k, x, u, config.dt, config.substeps)
+        x, dz = _rk4_hold(problem, t_k, x, u, config.dt)
         acc += dz
 
     return Trajectory(

@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from hjbsparse.bvp import (
+    _RES_B,
+    _RES_L,
+    _RES_THETA,
     _SQRT_EPS,
     BvpProblem,
     BvpStatus,
@@ -240,3 +243,67 @@ class TestStackedJacobian:
         f = problem.rhs(coll.s, y)
         coll.fd_jacobian(y, f)
         assert calls == [(13, 13 * len(_stage_abscissae(coll.mesh)))]
+
+
+def perturbed_collocation(problem, intervals):
+    coll = _Collocation(problem, np.linspace(*problem.interval, intervals + 1))
+    rng = np.random.default_rng(0)
+    y = problem.guess(coll.s) + rng.uniform(-0.5, 0.5, (problem.ndim, len(coll.s)))
+    return coll, y, coll.eval_f(y)
+
+
+def dense_residual_jacobian(coll, y):
+    """Forward differences of the whole residual, one unknown at a time (unknown p*M + m is y[m, p])."""
+    F0 = coll.residual(y, coll.eval_f(y))
+    flat = y.T.ravel()
+    J = np.empty((len(F0), len(flat)))
+    for c in range(len(flat)):
+        yp = flat.copy()
+        step = _SQRT_EPS * max(abs(flat[c]), 1.0)
+        yp[c] += step
+        yp = yp.reshape(-1, coll.M).T
+        J[:, c] = (coll.residual(yp, coll.eval_f(yp)) - F0) / step
+    return J
+
+
+def per_theta_residuals(coll, y, f):
+    """Residual sampling with one rhs call per sample offset: the reference for the stacked call."""
+    f_stage = f[:, coll.cols]
+    y_left = y[:, coll.cols[:, 0]]
+    scale = coll.scale(y, f)
+    res = np.zeros(coll.K)
+    for theta, b, lag in zip(_RES_THETA, _RES_B, _RES_L):
+        y_mid = y_left + coll.h * np.einsum("j,mkj->mk", b, f_stage)
+        f_mid = coll.eval_f(y_mid, coll.mesh[:-1] + theta * coll.h)
+        sprime = np.einsum("j,mkj->mk", lag, f_stage)
+        res = np.maximum(res, (np.abs(sprime - f_mid) / scale[:, None]).max(axis=0))
+    return res
+
+
+class TestBlockLayout:
+    @pytest.mark.parametrize("make", [example1_characteristic_bvp, expsin_problem],
+                             ids=["example1", "expsin"])
+    def test_jacobian_matches_finite_differences_of_the_residual(self, make):
+        coll, y, f = perturbed_collocation(make(), 4)
+        J = coll.jacobian(y, f).toarray()
+        assert J.shape == (coll.nunk, coll.nunk) == (13 * coll.M,) * 2
+        assert np.abs(J - dense_residual_jacobian(coll, y)).max() <= 1e-5 * np.abs(J).max()
+
+    @pytest.mark.parametrize("make", [example1_characteristic_bvp, expsin_problem],
+                             ids=["example1", "expsin"])
+    def test_residual_sampling_equals_the_per_theta_loop(self, make):
+        coll, y, f = perturbed_collocation(make(), 8)
+        assert np.array_equal(coll.interval_residuals(y, f), per_theta_residuals(coll, y, f))
+
+    def test_one_rhs_call_per_residual_sampling(self):
+        problem = example1_characteristic_bvp()
+        calls = []
+
+        def counted(s, y):
+            calls.append(y.shape)
+            return problem.rhs(s, y)
+
+        coll, y, f = perturbed_collocation(replace(problem, rhs=counted), 5)
+        calls.clear()
+        coll.interval_residuals(y, f)
+        assert calls == [(13, 5 * 5)]

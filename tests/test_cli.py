@@ -287,6 +287,16 @@ class TestProblemConfig:
         target = optimal_attitude(make_example2().params, x0[:3], x0[3:]).v_e
         assert manifest["config"]["target_attitude"] == target.tolist()
 
+    @pytest.mark.parametrize("problem", ["example1", "example2"])
+    @pytest.mark.parametrize("x0", ["0.1", "0.1,0.2,0.3"])
+    def test_mpc_refuses_an_x0_of_the_wrong_length(self, problem, x0, tmp_path, capsys):
+        code, ds = self.sweep(tmp_path, "--problem", problem)
+        assert code == 0
+        code = main(["mpc", "--dataset", str(ds), "--x0", x0, "--tmax", "0",
+                     "--out", str(tmp_path / "traj.csv")])
+        assert code == 1
+        assert "x0 must be 6 finite numbers" in capsys.readouterr().err
+
     def test_sweep_with_momentum_along_the_null_direction_exits_one(self, tmp_path, capsys):
         # the one q=6 point sits at the box centre; its rate w = C/J makes C.J w = 1 and c0 = -9,
         # so the reachable circle has radius > 0 about the axis through H = 10 C

@@ -125,6 +125,11 @@ class TestSimulateExample2:
         assert traj.status == "ok" and len(traj.times) == 2
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("x0", [[0.1], [0.1, 0.2, 0.3], [0.0] * 5 + [float("nan")]])
+    def test_x0_must_be_n_finite_numbers(self, x0):
+        with pytest.raises(ValueError, match="x0 must be 6 finite numbers"):
+            simulate(make_example2(), None, np.array(x0), MpcConfig(dt=0.1, t_max=0.1))
+
 
 class TestEmission:
     def test_round_trip(self, tmp_path, ex3, ex3_q9):
@@ -166,8 +171,6 @@ class TestEmission:
 
 class TestConfig:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            MpcConfig(dt=0.1, t_max=1.0, substeps=0)
         with pytest.raises(ValueError):
             MpcConfig(dt=0.1, t_max=1.0, noise_fraction=-0.1)
         for dt in (0.0, -0.1, float("nan"), float("inf")):
