@@ -109,10 +109,16 @@ def _load_config_file(path) -> dict:
     return cfg
 
 
-def _resolve(run: _Run, flag_value, cfg: dict, key: str, default):
+def _resolve(run: _Run, flag_value, cfg: dict, key: str, convert, default=None):
+    """The flag, else the --config entry, else the default, read by convert; None stays None."""
     value = flag_value if flag_value is not None else cfg.get(key, default)
     run.config[key] = value
-    return value
+    if value is None:
+        return None
+    try:
+        return convert(value)
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise HjbSparseError(f"{key}: cannot read {value!r} ({exc})") from None
 
 
 def _load_dataset(args, run: _Run):
@@ -127,12 +133,11 @@ def _load_dataset(args, run: _Run):
 # ---------------------------------------------------------------------------
 
 def cmd_grid(args, run: _Run, cfg: dict) -> int:
-    family = NodeFamily.parse(_resolve(run, args.family, cfg, "family", "cgl"))
-    d = _resolve(run, args.d, cfg, "d", None)
-    q = _resolve(run, args.q, cfg, "q", None)
+    family = _resolve(run, args.family, cfg, "family", NodeFamily.parse, "cgl")
+    d = _resolve(run, args.d, cfg, "d", int)
+    q = _resolve(run, args.q, cfg, "q", int)
     if d is None or q is None:
         build_parser().error("grid requires --d and --q, as flags or --config entries")
-    d, q = int(d), int(q)
     domain = _parse_domain(args.domain, d) if args.domain else Box((0.0,) * d, (1.0,) * d)
     run.config["domain"] = domain.as_json()
     grid = build_grid(family, d, q, domain)
@@ -161,10 +166,10 @@ def cmd_sweep(args, run: _Run, cfg: dict) -> int:
         spec["params"].update(_load_config_file(args.problem_config))
     problem = problem_from_spec(spec)
     run.config["problem"] = problem.spec()
-    family = NodeFamily.parse(_resolve(run, args.family, cfg, "family", "cgl"))
-    q = int(_resolve(run, args.q, cfg, "q", None))
-    tol = float(_resolve(run, args.tol, cfg, "tol", 1e-8))
-    workers = _workers(_resolve(run, args.workers, cfg, "workers", None))
+    family = _resolve(run, args.family, cfg, "family", NodeFamily.parse, "cgl")
+    q = _resolve(run, args.q, cfg, "q", int)
+    tol = _resolve(run, args.tol, cfg, "tol", float, 1e-8)
+    workers = _workers(_resolve(run, args.workers, cfg, "workers", int))
     run.config["workers"] = workers
     d = problem.domain.d
     grid = build_grid(family, d, q, problem.domain)
@@ -208,10 +213,10 @@ def cmd_interp(args, run: _Run, cfg: dict) -> int:
 
 
 def cmd_bound(args, run: _Run, cfg: dict) -> int:
-    family = NodeFamily.parse(_resolve(run, args.family, cfg, "family", "cgl"))
-    d = int(_resolve(run, args.d, cfg, "d", None))
-    q = int(_resolve(run, args.q, cfg, "q", None))
-    mode = _resolve(run, args.lebesgue, cfg, "lebesgue", "bound")
+    family = _resolve(run, args.family, cfg, "family", NodeFamily.parse, "cgl")
+    d = _resolve(run, args.d, cfg, "d", int)
+    q = _resolve(run, args.q, cfg, "q", int)
+    mode = _resolve(run, args.lebesgue, cfg, "lebesgue", str, "bound")
     report = worst_case_coefficient(family, d, q, lebesgue_mode=mode)
     _write_json(run, args.out, report.__dict__)
     print(f"coefficient={report.coefficient:.6g} (family={family.value} d={d} q={q} mode={mode})")
@@ -219,11 +224,11 @@ def cmd_bound(args, run: _Run, cfg: dict) -> int:
 
 
 def cmd_mc_ebvp(args, run: _Run, cfg: dict) -> int:
-    family = NodeFamily.parse(_resolve(run, args.family, cfg, "family", "cgl"))
-    d = int(_resolve(run, args.d, cfg, "d", None))
-    q = int(_resolve(run, args.q, cfg, "q", None))
-    n = int(_resolve(run, args.n, cfg, "n", 2000))
-    seed = int(_resolve(run, args.seed, cfg, "seed", 0))
+    family = _resolve(run, args.family, cfg, "family", NodeFamily.parse, "cgl")
+    d = _resolve(run, args.d, cfg, "d", int)
+    q = _resolve(run, args.q, cfg, "q", int)
+    n = _resolve(run, args.n, cfg, "n", int, 2000)
+    seed = _resolve(run, args.seed, cfg, "seed", int, 0)
     run.seeds.append(seed)
     report = mc_ebvp(family, d, q, n_eval=n, seed=seed)
     payload = {k: v for k, v in report.__dict__.items() if k != "ratios"}
@@ -234,10 +239,10 @@ def cmd_mc_ebvp(args, run: _Run, cfg: dict) -> int:
 
 def cmd_validate(args, run: _Run, cfg: dict) -> int:
     problem, solution, grid = _load_dataset(args, run)
-    n = int(_resolve(run, args.n, cfg, "n", 300))
-    tol = float(_resolve(run, args.tol, cfg, "tol", 1e-7))
-    seed = int(_resolve(run, args.seed, cfg, "seed", 0))
-    workers = _workers(_resolve(run, args.workers, cfg, "workers", None))
+    n = _resolve(run, args.n, cfg, "n", int, 300)
+    tol = _resolve(run, args.tol, cfg, "tol", float, 1e-7)
+    seed = _resolve(run, args.seed, cfg, "seed", int, 0)
+    workers = _workers(_resolve(run, args.workers, cfg, "workers", int))
     run.config["workers"] = workers
     run.seeds.append(seed)
     law = fit_feedback(problem, grid, solution)
@@ -258,13 +263,13 @@ def cmd_validate(args, run: _Run, cfg: dict) -> int:
 def cmd_mpc(args, run: _Run, cfg: dict) -> int:
     problem, solution, grid = _load_dataset(args, run)
     x0 = check_x0(problem, _parse_vector(args.x0))
-    noise = float(_resolve(run, args.noise, cfg, "noise", 0.0))
-    seed = int(_resolve(run, args.seed, cfg, "seed", 0))
-    t_max = float(_resolve(run, args.tmax, cfg, "tmax", problem.horizon))
+    noise = _resolve(run, args.noise, cfg, "noise", float, 0.0)
+    seed = _resolve(run, args.seed, cfg, "seed", int, 0)
+    t_max = _resolve(run, args.tmax, cfg, "tmax", float, problem.horizon)
     if args.dt is not None:
         dt = float(args.dt)
     else:
-        hz = float(_resolve(run, args.hz, cfg, "hz", 10.0))
+        hz = _resolve(run, args.hz, cfg, "hz", float, 10.0)
         if not hz > 0:
             raise ValueError(f"--hz must be > 0, got {hz}")
         dt = 1.0 / hz
@@ -312,7 +317,7 @@ def cmd_order_check(args, run: _Run, cfg: dict) -> int:
     )
 
     # interpolation convergence on the oscillatory product function
-    seed = int(_resolve(run, args.seed, cfg, "seed", 0))
+    seed = _resolve(run, args.seed, cfg, "seed", int, 0)
     run.seeds.append(seed)
     from .util import make_rng
     rng = make_rng(seed)

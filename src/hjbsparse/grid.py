@@ -12,6 +12,12 @@ is the set of nodes new at level i.  Node identity across levels is tracked
 through closed-form index rules (never floating-point set difference), and
 node values are generated so that nested nodes are bit-identical across
 levels.
+
+Every axis of a grid reads one 1-D table, ``table_nodes``: the delta nodes of
+levels 1..q-d+1 side by side.  The grid describes each point by its column
+in that table on every axis (``SparseGrid.cols``); its levels, offsets and
+reference coordinates are lookups of those columns, and the interpolation
+kernel and the hierarchization read the same columns.
 """
 
 from __future__ import annotations
@@ -107,6 +113,19 @@ def delta_nodes(family: NodeFamily, i: int) -> np.ndarray:
     return nodes_1d(family, i)[delta_positions(family, i) - 1]
 
 
+@lru_cache(maxsize=None)
+def table_nodes(family: NodeFamily, ref_level: int) -> np.ndarray:
+    """The 1-D table: the delta nodes of levels 1..ref_level side by side.
+
+    Column base_l + j - 1 holds the j-th ascending node of DX^l, where base_l
+    counts the delta nodes of the levels below l; the first N_L columns are
+    therefore exactly the nodes of X^L.
+    """
+    x = np.concatenate([delta_nodes(family, lvl) for lvl in range(1, ref_level + 1)])
+    x.setflags(write=False)
+    return x
+
+
 @dataclass(frozen=True)
 class Box:
     """Axis-aligned physical domain with affine maps to/from the unit cube."""
@@ -148,7 +167,7 @@ class Box:
     def to_phys(self, ref: np.ndarray) -> np.ndarray:
         ref = np.asarray(ref, dtype=float)
         self._check_axes(ref)
-        if np.any(ref < -_BOUNDARY_TOL) or np.any(ref > 1.0 + _BOUNDARY_TOL):
+        if not np.all((ref >= -_BOUNDARY_TOL) & (ref <= 1.0 + _BOUNDARY_TOL)):
             raise OutOfDomainError(f"reference point {ref} outside [0,1]^d")
         return self.lo + ref * self.width
 
@@ -156,14 +175,9 @@ class Box:
         phys = np.asarray(phys, dtype=float)
         self._check_axes(phys)
         ref = (phys - self.lo) / self.width
-        if np.any(ref < -_BOUNDARY_TOL) or np.any(ref > 1.0 + _BOUNDARY_TOL):
+        if not np.all((ref >= -_BOUNDARY_TOL) & (ref <= 1.0 + _BOUNDARY_TOL)):
             raise OutOfDomainError(f"point {phys} outside domain box")
         return np.clip(ref, 0.0, 1.0)
-
-    def contains(self, phys: np.ndarray) -> bool:
-        phys = np.asarray(phys, dtype=float)
-        ref = (phys - self.lo) / self.width
-        return bool(np.all(ref >= -_BOUNDARY_TOL) and np.all(ref <= 1.0 + _BOUNDARY_TOL))
 
     def clip(self, phys: np.ndarray) -> np.ndarray:
         return np.clip(np.asarray(phys, dtype=float), self.lo, self.hi)
@@ -196,9 +210,11 @@ def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
 class SparseGrid:
     """Enumerated sparse grid with deterministic (|i|, i, j) lexicographic order.
 
-    Points are stored as arrays; within each cell the offsets run in row-major
-    (last axis fastest) order, which coincides with ascending lexicographic
-    offset order.
+    Point p is ``cols[p]``, its column in the 1-D table on every axis.  The
+    read-only (n, d) arrays ``levels``, ``offsets`` (1-based within DX^i),
+    ``ref`` and ``phys`` are derived from it.  Within each cell the offsets
+    run in row-major (last axis fastest) order, which coincides with
+    ascending lexicographic offset order.
     """
 
     def __init__(self, family: NodeFamily, d: int, q: int, domain: Box):
@@ -217,25 +233,22 @@ class SparseGrid:
         for l in range(d, q + 1):
             cells.extend(compositions(l, d))
         self.cells = cells
-        self.cell_levels = np.array(cells, dtype=np.int64)
 
-        start = [0]
-        ref_blocks = []
-        off_blocks = []
+        # the table columns of level i run from first[i - 1] to first[i] - 1
+        counts = [delta_count(family, i) for i in range(1, self.ref_level + 1)]
+        first = np.cumsum([0] + counts)
+        blocks = []
         for mi in cells:
-            nodes = [delta_nodes(family, i) for i in mi]
-            counts = [len(nd) for nd in nodes]
-            mesh = np.meshgrid(*nodes, indexing="ij")
-            ref_blocks.append(np.stack([m.ravel() for m in mesh], axis=1))
-            offs = np.meshgrid(*[np.arange(1, c + 1) for c in counts], indexing="ij")
-            off_blocks.append(np.stack([o.ravel() for o in offs], axis=1))
-            start.append(start[-1] + int(np.prod(counts)))
-        self.cell_start = np.array(start, dtype=np.int64)
-        self.ref = np.vstack(ref_blocks)
-        self.offsets = np.vstack(off_blocks).astype(np.int64)
-        self.levels = np.repeat(self.cell_levels, np.diff(self.cell_start), axis=0)
+            mesh = np.meshgrid(*[np.arange(first[i - 1], first[i]) for i in mi], indexing="ij")
+            blocks.append(np.stack([m.ravel() for m in mesh], axis=1))
+        self.cols = np.vstack(blocks).astype(np.int64, copy=False)
+        column_level = np.repeat(np.arange(1, self.ref_level + 1, dtype=np.int64), counts)
+        column_offset = np.concatenate([np.arange(1, c + 1, dtype=np.int64) for c in counts])
+        self.levels = column_level[self.cols]
+        self.offsets = column_offset[self.cols]
+        self.ref = table_nodes(family, self.ref_level)[self.cols]
         self.phys = domain.lo + self.ref * domain.width
-        for arr in (self.ref, self.offsets, self.levels, self.phys):
+        for arr in (self.cols, self.levels, self.offsets, self.ref, self.phys):
             arr.setflags(write=False)
 
     def __len__(self) -> int:

@@ -2,15 +2,17 @@
 
 The interpolant is kept in hierarchical form: one surplus w^i_j per grid
 point, the coefficient of its cell's tensor delta basis
-a^i1_j1(x_1) * ... * a^id_jd(x_d).  One kernel evaluates it.  For a block of
-query rows it lays out, per axis, the delta bases of levels 1..q-d+1 side by
-side in one 1-D table, gathers every grid point's column from each table,
-multiplies the gathered columns across the axes and takes one product with
-the surpluses.
+a^i1_j1(x_1) * ... * a^id_jd(x_d).  The grid owns the layout: every axis
+reads the 1-D table of the delta nodes of levels 1..q-d+1 side by side
+(``grid.table_nodes``), and ``SparseGrid.cols`` holds each point's column in
+it.  One kernel evaluates the interpolant.  For a block of query rows it
+evaluates, per axis, the basis of every table column, gathers the grid's
+columns, multiplies the gathered columns across the axes and takes one
+product with the surpluses.
 
 The surpluses are fitted by unidirectional hierarchization (Bungartz &
 Griebel, "Sparse grids", Acta Numerica 13, 2004).  Along axis k, the points
-that share their levels and offsets on the other axes form a pole.  The grid
+that share their table columns on the other axes form a pole.  The grid
 is downward closed, so every pole is a whole 1-D node set X^L, and the 1-D
 map from its values to its surpluses is the leading block of one triangular
 inverse.  Applying that map along every pole, one axis after the other,
@@ -32,15 +34,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .exceptions import FitError, GridSpecError, OutOfDomainError
-from .grid import (
-    NodeFamily,
-    SparseGrid,
-    delta_count,
-    delta_nodes,
-    delta_positions,
-    node_count,
-    nodes_1d,
-)
+from .grid import NodeFamily, SparseGrid, delta_positions, nodes_1d, table_nodes
 
 _NODE_HIT = 1e-14
 # Entries (query rows x grid points) per block of the evaluation kernel.  A
@@ -93,49 +87,6 @@ def x_basis_matrix(family: NodeFamily, i: int, x: np.ndarray) -> np.ndarray:
 def delta_basis_matrix(family: NodeFamily, i: int, x: np.ndarray) -> np.ndarray:
     """Basis functions of the new nodes DX^i, columns in ascending node order."""
     return x_basis_matrix(family, i, x)[:, delta_positions(family, i) - 1]
-
-
-def basis_node(family: NodeFamily, i: int, j: int) -> float:
-    """Node at which the published basis a^i_j peaks (Kronecker node).
-
-    For the classic family at level 1 the published labels are a^1_1 = x and
-    a^1_2 = 1 - x, i.e. swapped relative to ascending node order; everywhere
-    else label order and ascending delta-node order coincide.
-    """
-    dn = delta_nodes(family, i)
-    if not 1 <= j <= len(dn):
-        raise GridSpecError(f"basis index {j} out of range for level {i}")
-    if family is NodeFamily.CLASSIC and i == 1:
-        return float(dn[2 - j])
-    return float(dn[j - 1])
-
-
-def eval_basis(family: NodeFamily, i: int, j: int, x: float) -> float:
-    """Delta-indexed basis a^i_j(x) on [0, 1], published label order."""
-    if not 0.0 <= x <= 1.0:
-        raise OutOfDomainError(f"x={x} outside [0, 1]")
-    dn = delta_nodes(family, i)
-    if not 1 <= j <= len(dn):
-        raise GridSpecError(f"basis index {j} out of range for level {i}")
-    col = (2 - j) if (family is NodeFamily.CLASSIC and i == 1) else (j - 1)
-    return float(delta_basis_matrix(family, i, np.array([x]))[0, col])
-
-
-def eval_nodal_basis(family: NodeFamily, i: int, k: int, x: float) -> float:
-    """X-indexed basis u^i_k(x), k counted 1..N_i in ascending node order."""
-    if not 0.0 <= x <= 1.0:
-        raise OutOfDomainError(f"x={x} outside [0, 1]")
-    if not 1 <= k <= node_count(family, i):
-        raise GridSpecError(f"nodal index {k} out of range for level {i}")
-    return float(x_basis_matrix(family, i, np.array([x]))[0, k - 1])
-
-
-def delta_position(family: NodeFamily, i: int, j: int) -> int:
-    """1-based position of the j-th ascending delta node within X^i."""
-    pos = delta_positions(family, i)
-    if not 1 <= j <= len(pos):
-        raise GridSpecError(f"delta index {j} out of range for level {i}")
-    return int(pos[j - 1])
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +152,7 @@ def _check_ref_points(x: np.ndarray, d: int) -> np.ndarray:
     pts = x[None, :] if single else x
     if pts.ndim != 2 or pts.shape[1] != d:
         raise GridSpecError(f"expected points of dimension {d}, got shape {x.shape}")
-    if np.any(pts < -1e-12) or np.any(pts > 1.0 + 1e-12):
+    if not np.all((pts >= -1e-12) & (pts <= 1.0 + 1e-12)):
         raise OutOfDomainError("evaluation point outside the reference cube")
     return np.clip(pts, 0.0, 1.0), single
 
@@ -214,25 +165,15 @@ def _unwrap(out: np.ndarray, single: bool) -> np.ndarray | float:
 
 
 def _delta_table(family: NodeFamily, ref_level: int, x: np.ndarray) -> np.ndarray:
-    """Delta bases of levels 1..ref_level at x, side by side; shape (len(x), N_ref_level)."""
+    """The basis of every table_nodes column at x; shape (len(x), N_ref_level)."""
     return np.hstack([delta_basis_matrix(family, lvl, x) for lvl in range(1, ref_level + 1)])
-
-
-def _columns(grid: SparseGrid) -> np.ndarray:
-    """Each grid point's column in every axis's delta table; shape (n, d).
-
-    A point of level l and offset j on an axis reads column base[l] + j - 1,
-    where base[l] counts the delta nodes of the levels below l.
-    """
-    base = np.cumsum([0] + [delta_count(grid.family, lvl) for lvl in range(1, grid.ref_level)])
-    return base[grid.levels - 1] + grid.offsets - 1
 
 
 def _eval_surpluses(grid: SparseGrid, surpluses: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """Sum of surplus x tensor delta basis over the grid points, at pts."""
     n = len(grid)
     R = grid.ref_level
-    cols = _columns(grid)
+    cols = grid.cols
     out = np.empty((pts.shape[0],) + surpluses.shape[1:])
     rows = max(16, _CHUNK // n)
     for lo in range(0, pts.shape[0], rows):
@@ -266,7 +207,7 @@ def _hierarchization_matrix(family: NodeFamily, ref_level: int) -> np.ndarray:
     alone.  The leading N_L block of the inverse therefore maps values at X^L,
     in column order, to their 1-D hierarchical surpluses.
     """
-    nodes = np.concatenate([delta_nodes(family, lvl) for lvl in range(1, ref_level + 1)])
+    nodes = table_nodes(family, ref_level)
     inv = solve_triangular(_delta_table(family, ref_level, nodes), np.eye(len(nodes)),
                            lower=True, unit_diagonal=True)
     inv.setflags(write=False)
@@ -281,7 +222,7 @@ def _poles(grid: SparseGrid) -> list[np.ndarray]:
     along axis k; sorted by the other columns, then by column k, every pole
     is a run that starts at column 0.
     """
-    cols = _columns(grid)
+    cols = grid.cols
     poles = []
     for k in range(grid.d):
         # lexsort, not one packed integer key: N_R^(d-1) overflows int64 at large d and R

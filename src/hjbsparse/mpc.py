@@ -37,8 +37,8 @@ class MpcConfig:
     def __post_init__(self):
         if not (np.isfinite(self.dt) and self.dt > 0 and np.isfinite(self.t_max) and self.t_max >= 0):
             raise ValueError(f"need a finite dt > 0 and t_max >= 0, got dt={self.dt}, t_max={self.t_max}")
-        if self.noise_fraction < 0:
-            raise ValueError("noise magnitude must be >= 0")
+        if not (np.isfinite(self.noise_fraction) and self.noise_fraction >= 0):
+            raise ValueError(f"noise magnitude must be finite and >= 0, got {self.noise_fraction}")
 
 
 @dataclass

@@ -136,6 +136,11 @@ class TestPipeline:
         assert code == 1
         assert "expected points with 4 coordinates" in capsys.readouterr().err
 
+    def test_interp_refuses_a_nan_point(self, ds_path, tmp_path, capsys):
+        code = main(["interp", "--dataset", str(ds_path), "--at", "nan,0,0,0", "--out", str(tmp_path / "i.json")])
+        assert code == 1
+        assert "outside domain box" in capsys.readouterr().err
+
     def test_validate_refuses_zero_samples(self, ds_path, tmp_path, capsys):
         code = main(["validate", "--dataset", str(ds_path), "--n", "0", "--out", str(tmp_path / "r.json")])
         assert code == 1
@@ -168,6 +173,13 @@ class TestPipeline:
         assert header[0] == "t" and header[-1] == "cost"
         assert data.shape[0] == 36
         assert "status=ok" in out
+
+    @pytest.mark.parametrize("noise", ["nan", "inf"])
+    def test_mpc_refuses_a_noise_that_is_not_finite(self, noise, ds_path, tmp_path, capsys):
+        code = main(["mpc", "--dataset", str(ds_path), "--x0", "0.1,0,0", "--tmax", "0.2", "--noise", noise,
+                     "--out", str(tmp_path / "traj.csv")])
+        assert code == 1
+        assert "noise magnitude must be finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", ["--hz", "--dt"])
     def test_mpc_rejects_zero_sample_period(self, flag, ds_path, tmp_path, capsys):
@@ -339,6 +351,19 @@ class TestConfigPrecedence:
         assert manifest["seeds"] == [3]
         payload = json.loads(out_path.read_text())
         assert payload["n_eval"] == 5
+
+
+    @pytest.mark.parametrize("command, cfg", [
+        (["mc-ebvp", "--family", "cgl", "--d", "2", "--q", "6"], {"n": [1]}),
+        (["grid", "--d", "2", "--q", "4"], {"family": 3}),
+    ])
+    def test_config_value_of_the_wrong_type_exits_one(self, command, cfg, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code = main([*command, "--config", str(path), "--out", str(tmp_path / "o.json")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"error: {next(iter(cfg))}: cannot read" in err and "Traceback" not in err
 
 
 class TestMcEbvpCommand:

@@ -12,6 +12,7 @@ from hjbsparse.grid import (
     dense_size,
     grid_size,
     nodes_1d,
+    table_nodes,
 )
 
 FAMILIES = list(NodeFamily)
@@ -131,9 +132,9 @@ class TestGridStructure:
         g1 = build_grid(NodeFamily.CGL, 3, 6)
         g2 = build_grid(NodeFamily.CGL, 3, 6)
         assert np.array_equal(g1.ref, g2.ref)
-        assert np.array_equal(g1.levels, g2.levels)
+        assert np.array_equal(g1.cols, g2.cols)
         # cells ordered by (|i|, i) ascending
-        sums = g1.cell_levels.sum(axis=1)
+        sums = g1.levels.sum(axis=1)
         assert np.all(np.diff(sums) >= 0)
 
     def test_ref_rows_unique(self):
@@ -142,11 +143,17 @@ class TestGridStructure:
         assert len(np.unique(g.ref, axis=0)) == len(g)
 
     def test_offsets_match_delta_nodes(self):
-        g = build_grid(NodeFamily.CGL, 2, 5)
-        for idx in range(0, len(g), 7):
-            for k in range(2):
-                dn = delta_nodes(g.family, g.levels[idx, k])
-                assert g.ref[idx, k] == dn[g.offsets[idx, k] - 1]
+        # every point of every family: the table column, and the level and offset it stands for
+        for family in FAMILIES:
+            g = build_grid(family, 3, 7)
+            table = table_nodes(family, g.ref_level)
+            for arr in (g.cols, g.levels, g.offsets):
+                assert arr.dtype == np.int64 and not arr.flags.writeable
+            for k in range(g.d):
+                assert np.array_equal(g.ref[:, k], table[g.cols[:, k]])
+                for lvl in range(1, g.ref_level + 1):
+                    on = g.levels[:, k] == lvl
+                    assert np.array_equal(g.ref[on, k], delta_nodes(family, lvl)[g.offsets[on, k] - 1])
 
 
 class TestDomainMaps:
@@ -183,6 +190,14 @@ class TestDomainMaps:
             box.to_ref(np.array([1.5]))
         with pytest.raises(OutOfDomainError):
             box.to_phys(np.array([-0.1]))
+
+    def test_nan_point_raises(self):
+        box = Box((0.0, 0.0), (1.0, 2.0))
+        for point in ([float("nan"), 0.5], [0.5, float("nan")]):
+            with pytest.raises(OutOfDomainError):
+                box.to_ref(np.array(point))
+            with pytest.raises(OutOfDomainError):
+                box.to_phys(np.array(point))
 
     def test_boundary_tolerance(self):
         box = Box((0.0,), (1.0,))

@@ -3,15 +3,13 @@ import pytest
 from combination_oracle import eval_combination
 
 from hjbsparse.exceptions import FitError, OutOfDomainError
-from hjbsparse.grid import NodeFamily, build_grid, delta_nodes, nodes_1d
+from hjbsparse.grid import NodeFamily, build_grid, delta_positions, nodes_1d
 from hjbsparse.interp import (
-    basis_node,
-    delta_position,
-    eval_basis,
-    eval_nodal_basis,
+    delta_basis_matrix,
     fit_hierarchical,
     lebesgue_bound,
     lebesgue_constant,
+    x_basis_matrix,
 )
 
 FAMILIES = list(NodeFamily)
@@ -19,56 +17,36 @@ FAMILIES = list(NodeFamily)
 
 class TestBasis:
     def test_classic_level1_published_labels(self):
-        assert eval_basis(NodeFamily.CLASSIC, 1, 1, 0.3) == pytest.approx(0.3, abs=1e-14)
-        assert eval_basis(NodeFamily.CLASSIC, 1, 2, 0.3) == pytest.approx(0.7, abs=1e-14)
+        # published a^1_1 = x and a^1_2 = 1 - x peak at 1 and 0: in ascending node order 1 - x, x
+        assert delta_basis_matrix(NodeFamily.CLASSIC, 1, 0.3) == pytest.approx(np.array([[0.7, 0.3]]), abs=1e-14)
 
     def test_modified_level1_is_constant_one(self):
-        for x in (0.0, 0.12, 0.5, 0.99, 1.0):
-            assert eval_basis(NodeFamily.MODIFIED, 1, 1, x) == 1.0
+        xs = np.array([0.0, 0.12, 0.5, 0.99, 1.0])
+        assert np.array_equal(delta_basis_matrix(NodeFamily.MODIFIED, 1, xs), np.ones((5, 1)))
 
     def test_cgl_level2_kronecker(self):
-        for j in (1, 2):
-            own = basis_node(NodeFamily.CGL, 2, j)
-            assert eval_basis(NodeFamily.CGL, 2, j, own) == pytest.approx(1.0, abs=1e-13)
-            for other in nodes_1d(NodeFamily.CGL, 2):
-                if abs(other - own) > 1e-13:
-                    assert eval_basis(NodeFamily.CGL, 2, j, float(other)) == pytest.approx(0.0, abs=1e-13)
+        cols = np.eye(3)[:, delta_positions(NodeFamily.CGL, 2) - 1]
+        at_nodes = delta_basis_matrix(NodeFamily.CGL, 2, nodes_1d(NodeFamily.CGL, 2))
+        assert at_nodes == pytest.approx(cols, abs=1e-13)
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_kronecker_property_all_levels(self, family):
+        # the nodal basis of X^i at X^i is the identity, and the delta bases are its columns at the new nodes
         for i in range(1, 9):
-            for j in range(1, len(delta_nodes(family, i)) + 1):
-                own = basis_node(family, i, j)
-                assert eval_basis(family, i, j, own) == pytest.approx(1.0, abs=1e-11)
-                for other in nodes_1d(family, i):
-                    if abs(other - own) > 1e-13:
-                        assert abs(eval_basis(family, i, j, float(other))) < 1e-11
+            nodes = nodes_1d(family, i)
+            eye = np.eye(len(nodes))
+            assert x_basis_matrix(family, i, nodes) == pytest.approx(eye, abs=1e-11)
+            cols = eye[:, delta_positions(family, i) - 1]
+            assert delta_basis_matrix(family, i, nodes) == pytest.approx(cols, abs=1e-11)
 
     def test_outside_support_is_zero(self):
         # level-4 hat at 0.125 has support [0, 0.25]
-        assert eval_basis(NodeFamily.CLASSIC, 4, 1, 0.6) == 0.0
+        assert delta_basis_matrix(NodeFamily.CLASSIC, 4, 0.6)[0, 0] == 0.0
 
     def test_partition_of_unity_level1(self):
-        for x in np.linspace(0, 1, 17):
-            s = eval_basis(NodeFamily.CLASSIC, 1, 1, float(x)) + eval_basis(NodeFamily.CLASSIC, 1, 2, float(x))
-            assert s == pytest.approx(1.0, abs=1e-14)
-            assert eval_basis(NodeFamily.MODIFIED, 1, 1, float(x)) == 1.0
-
-    @pytest.mark.parametrize("family", FAMILIES)
-    def test_delta_and_nodal_bases_agree(self, family):
-        # a^i_j equals u^i_k once k is the in-level position of the j-th new node
-        xs = np.linspace(0, 1, 23)
-        for i in range(2, 7):
-            for j in range(1, len(delta_nodes(family, i)) + 1):
-                k = delta_position(family, i, j)
-                for x in xs:
-                    assert eval_basis(family, i, j, float(x)) == pytest.approx(
-                        eval_nodal_basis(family, i, k, float(x)), abs=1e-12
-                    )
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(OutOfDomainError):
-            eval_basis(NodeFamily.CLASSIC, 2, 1, 1.5)
+        xs = np.linspace(0, 1, 17)
+        assert delta_basis_matrix(NodeFamily.CLASSIC, 1, xs).sum(axis=1) == pytest.approx(np.ones(17), abs=1e-14)
+        assert np.array_equal(delta_basis_matrix(NodeFamily.MODIFIED, 1, xs), np.ones((17, 1)))
 
 
 class TestHierarchicalFit:
@@ -199,6 +177,12 @@ class TestEval:
         it = fit_hierarchical(g, np.zeros(len(g)))
         with pytest.raises(OutOfDomainError):
             it.eval(np.array([0.5, 1.2]))
+
+    def test_nan_point_raises(self):
+        g = build_grid(NodeFamily.CLASSIC, 2, 4)
+        it = fit_hierarchical(g, np.zeros(len(g)))
+        with pytest.raises(OutOfDomainError):
+            it.eval([float("nan"), 0.5])
 
 
 class TestCombination:

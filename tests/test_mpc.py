@@ -171,8 +171,9 @@ class TestEmission:
 
 class TestConfig:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            MpcConfig(dt=0.1, t_max=1.0, noise_fraction=-0.1)
+        for noise in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                MpcConfig(dt=0.1, t_max=1.0, noise_fraction=noise)
         for dt in (0.0, -0.1, float("nan"), float("inf")):
             with pytest.raises(ValueError):
                 MpcConfig(dt=dt, t_max=1.0)

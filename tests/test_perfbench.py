@@ -1,17 +1,19 @@
 """Smoke test of the benchmark: one traced pass of perfbench/run.py.
 
-A traced run (perfbench/tracing.py's traced_pass, and perfbench/run.py) looks
-up these attributes by name, so renaming any of them breaks the benchmark
-without failing any other test:
+A benchmark run (perfbench/run.py, perfbench/workloads.py and, traced,
+perfbench/tracing.py's traced_pass) looks up these attributes by name, so
+renaming any of them breaks the benchmark without failing any other test:
 
 - grid.build_grid, characteristics.build_grid and errors.build_grid
+- SparseGrid.cells, .ref, .phys and .domain
 - the problem class's f, L, H_x, u_star, h and h_x
 - bvp.splu
 - characteristics: bvp_solve, sweep, solve_point, GridSolution.save_jsonl,
-  load_jsonl, fit_feedback, FeedbackLaw.control, fit_hierarchical,
-  _solve_chunk and ProcessPoolExecutor
+  load_jsonl, fit_feedback, FeedbackLaw.control, .value and .costate,
+  fit_hierarchical, _solve_chunk and ProcessPoolExecutor
 - interp._CHUNK and Interpolant.eval
-- errors: validate, solve_point, mc_ebvp, _oracle_chunk and ProcessPoolExecutor
+- errors: validate, solve_point, mc_ebvp, _oracle_chunk and ProcessPoolExecutor;
+  ValidationReport.mae, .n_oracle_failures and .n_requested
 - mpc.simulate and mpc._rk4_hold
 """
 
