@@ -36,6 +36,7 @@ from scipy.sparse.linalg import splu
 
 _SQRT_EPS = math.sqrt(np.finfo(float).eps)
 _MAX_NEWTON = 50                              # Newton iterations per mesh
+_MAX_NODES = 10_000                           # mesh nodes before a solve gives up (MaxMesh)
 
 # Lobatto abscissae for the 4-point formula on [0, 1]
 _C = np.array([0.0, (5.0 - math.sqrt(5.0)) / 10.0, (5.0 + math.sqrt(5.0)) / 10.0, 1.0])
@@ -82,10 +83,8 @@ class BvpProblem:
     rhs: Callable[[np.ndarray, np.ndarray], np.ndarray]
     bc: Callable[[np.ndarray, np.ndarray], np.ndarray]
     interval: tuple[float, float]
-    tol: float = 1e-8
+    tol: float
     guess: Callable[[np.ndarray], np.ndarray] | None = None
-    rhs_jac: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
-    max_nodes: int = 10_000
 
     def __post_init__(self):
         if not (math.isfinite(self.tol) and self.tol > 0):
@@ -180,8 +179,6 @@ class _Collocation:
 
     def fd_jacobian(self, y: np.ndarray, f: np.ndarray) -> np.ndarray:
         """Forward differences, step sqrt(eps) * max(|y|, 1); (M, M, P)."""
-        if self.p.rhs_jac is not None:
-            return np.asarray(self.p.rhs_jac(self.s, y), dtype=float)
         M, P = y.shape
         step = _SQRT_EPS * np.maximum(np.abs(y), 1.0)
         # column block m of the stacked states is y with row m perturbed by step[m]
@@ -308,7 +305,7 @@ def solve(problem: BvpProblem) -> BvpSolution:
         if not ok:
             # restart on a uniformly doubled mesh from the original guess
             restarts += 1
-            if restarts > 3 or 2 * (len(mesh) - 1) + 1 > problem.max_nodes:
+            if restarts > 3 or 2 * (len(mesh) - 1) + 1 > _MAX_NODES:
                 est = float(coll.interval_residuals(y_sol, f_sol).max())
                 return _pack_solution(coll, y_sol, f_sol, BvpStatus.NEWTON_DIVERGED, est, total_iters, meshes)
             fine = np.empty(2 * (len(mesh) - 1) + 1)
@@ -332,7 +329,7 @@ def solve(problem: BvpProblem) -> BvpSolution:
                 pieces.extend(mesh[k] + (np.arange(1, nsplit) / nsplit) * coll.h[k])
         pieces.append(mesh[-1])
         new_mesh = np.array(pieces)
-        if len(new_mesh) > problem.max_nodes:
+        if len(new_mesh) > _MAX_NODES:
             return _pack_solution(coll, y_sol, f_sol, BvpStatus.MAX_MESH, est, total_iters, meshes)
         mesh = new_mesh
         y = _pack_solution(coll, y_sol, f_sol, BvpStatus.MAX_MESH, est, total_iters, meshes).interpolate(

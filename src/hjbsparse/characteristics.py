@@ -33,6 +33,7 @@ from .interp import Interpolant, fit_hierarchical
 from .util import central_difference, jsonable
 
 _DEGENERATE_HORIZON = 1e-13
+_MAX_SWEEP_FAILURES = 0.01         # failed share of grid points that aborts a sweep
 # record status of a point whose target (specialize) fails, by the error it raised
 _TARGET_FAILURES = {InfeasibleTargetError: "InfeasibleTarget", TargetSolveError: "TargetSolve"}
 
@@ -103,7 +104,7 @@ def _cols(x):
     return x[:, None] if x.ndim == 1 else x
 
 
-def assemble_bvp(problem: ControlProblem, t0: float, x0: np.ndarray, tol: float = 1e-8) -> BvpProblem:
+def assemble_bvp(problem: ControlProblem, t0: float, x0: np.ndarray, tol: float) -> BvpProblem:
     """Characteristic two-point BVP of dimension 2n+1 at one grid point.
 
     Cold start: x(s) = x0, lam(s) = h_x(x0)^T, z = 0 on an 11-node uniform mesh.
@@ -176,8 +177,8 @@ def _continuation_solve(prob: ControlProblem, t0: float, x0: np.ndarray, tol: fl
     return sol, newton, meshes
 
 
-def solve_point(problem: ControlProblem, t0: float, x0: np.ndarray, tol: float = 1e-8,
-                point_id: int = 0, return_solution: bool = False):
+def solve_point(problem: ControlProblem, t0: float, x0: np.ndarray, tol: float,
+                point_id: int = 0) -> CharacteristicRecord:
     """Value and costate at one point; failures are reported, never fabricated.
 
     A point whose target attitude does not exist or is not unique gets a failed
@@ -189,13 +190,11 @@ def solve_point(problem: ControlProblem, t0: float, x0: np.ndarray, tol: float =
     try:
         prob = problem.specialize(t0, x0)
     except tuple(_TARGET_FAILURES) as exc:
-        rec = CharacteristicRecord(point_id, float("nan"), np.full(n, np.nan), _TARGET_FAILURES[type(exc)],
-                                   float("nan"), 0)
-        return (rec, None) if return_solution else rec
+        return CharacteristicRecord(point_id, float("nan"), np.full(n, np.nan), _TARGET_FAILURES[type(exc)],
+                                    float("nan"), 0)
     if problem.horizon - t0 <= _DEGENERATE_HORIZON:
-        rec = CharacteristicRecord(point_id, float(prob.h(x0)),
-                                   np.asarray(prob.h_x(x0), dtype=float), BvpStatus.CONVERGED.value, 0.0, 0)
-        return (rec, None) if return_solution else rec
+        return CharacteristicRecord(point_id, float(prob.h(x0)),
+                                    np.asarray(prob.h_x(x0), dtype=float), BvpStatus.CONVERGED.value, 0.0, 0)
     newton = meshes = 0
     for stages in (1, 4):              # the direct solve, then continuation if it fails
         sol, stage_newton, stage_meshes = _continuation_solve(prob, t0, x0, tol, stages)
@@ -210,9 +209,8 @@ def solve_point(problem: ControlProblem, t0: float, x0: np.ndarray, tol: float =
     else:
         V = float("nan")
         lam0 = np.full(n, np.nan)
-    rec = CharacteristicRecord(point_id, V, lam0, sol.status.value, sol.est_residual, sol.n_nodes,
-                               newton, meshes, cont)
-    return (rec, sol) if return_solution else rec
+    return CharacteristicRecord(point_id, V, lam0, sol.status.value, sol.est_residual, sol.n_nodes,
+                                newton, meshes, cont)
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +329,7 @@ def _record(obj) -> CharacteristicRecord:
 def _header_and_grid(header) -> tuple[dict, SparseGrid]:
     grid = build_grid(NodeFamily.parse(_field(header, "family", str)), _field(header, "d", int),
                       _field(header, "q", int), _field(header, "domain", Box.from_json))
+    _field(header, "tolerance", float)           # validate's default oracle tolerance derives from it
     if not isinstance(header.get("problem"), dict):
         raise ValueError("the dataset was written before datasets carried their problem spec; "
                          "re-run `hjbsparse sweep` to regenerate it")
@@ -361,14 +360,13 @@ def load_jsonl(path) -> tuple[dict, GridSolution, SparseGrid]:
     return header, GridSolution(header=header, records=records), grid
 
 
-def sweep(problem: ControlProblem, grid: SparseGrid, tol: float = 1e-8,
-          workers: int | None = None, failure_threshold: float = 0.01) -> GridSolution:
+def sweep(problem: ControlProblem, grid: SparseGrid, tol: float, workers: int | None = None) -> GridSolution:
     """Solve the characteristic BVP at every grid point, embarrassingly parallel.
 
     Results are keyed by point id, so the dataset body is identical for any
-    worker count.  Raises SweepError if more than failure_threshold of the
-    points fail (its message gives the failures by status); individual
-    failures otherwise land in the failure list.
+    worker count.  Raises SweepError if more than 1% of the points fail (its
+    message gives the failures by status); individual failures otherwise
+    land in the failure list.
     """
     if problem.domain.as_json() != grid.domain.as_json():
         raise SweepError("grid domain does not match problem domain")
@@ -377,7 +375,7 @@ def sweep(problem: ControlProblem, grid: SparseGrid, tol: float = 1e-8,
 
     failed = Counter(r.status for r in records if not r.converged)
     n_fail = sum(failed.values())
-    if n_fail > failure_threshold * len(records):
+    if n_fail > _MAX_SWEEP_FAILURES * len(records):
         reasons = {status: f": {exc.__doc__}" for exc, status in _TARGET_FAILURES.items()}
         by_status = "; ".join(f"{status} {count}{reasons.get(status, '')}"
                               for status, count in sorted(failed.items()))

@@ -35,13 +35,19 @@ from .problems import make_problem, problem_from_spec
 from .util import jsonable, sha256_file
 
 
+def _positive_int(value) -> int:
+    n = int(value)
+    if n < 1 or n != float(value):
+        raise ValueError("expected an integer >= 1")
+    return n
+
+
 def _workers(value) -> int:
+    """The resolved --workers setting, else HJB_WORKERS, else the available parallelism."""
     if value is not None:
-        return int(value)
+        return value
     env = os.environ.get("HJB_WORKERS")
-    if env:
-        return int(env)
-    return os.cpu_count() or 1
+    return _read("HJB_WORKERS", env, _positive_int) if env else os.cpu_count() or 1
 
 
 def _parse_domain(text: str, d: int) -> Box:
@@ -109,16 +115,27 @@ def _load_config_file(path) -> dict:
     return cfg
 
 
+def _read(name: str, value, convert):
+    """convert(value); a value it refuses raises HjbSparseError naming the setting."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise HjbSparseError(f"{name}: cannot read {value!r} ({exc})") from None
+
+
 def _resolve(run: _Run, flag_value, cfg: dict, key: str, convert, default=None):
     """The flag, else the --config entry, else the default, read by convert; None stays None."""
     value = flag_value if flag_value is not None else cfg.get(key, default)
     run.config[key] = value
+    return None if value is None else _read(key, value, convert)
+
+
+def _required(run: _Run, args, cfg: dict, key: str, convert):
+    """_resolve of a setting without a default; missing from flags and config is a usage error."""
+    value = _resolve(run, getattr(args, key), cfg, key, convert)
     if value is None:
-        return None
-    try:
-        return convert(value)
-    except (TypeError, ValueError, AttributeError) as exc:
-        raise HjbSparseError(f"{key}: cannot read {value!r} ({exc})") from None
+        build_parser().error(f"{args.command} requires --{key}, as a flag or a --config entry")
+    return value
 
 
 def _load_dataset(args, run: _Run):
@@ -134,10 +151,8 @@ def _load_dataset(args, run: _Run):
 
 def cmd_grid(args, run: _Run, cfg: dict) -> int:
     family = _resolve(run, args.family, cfg, "family", NodeFamily.parse, "cgl")
-    d = _resolve(run, args.d, cfg, "d", int)
-    q = _resolve(run, args.q, cfg, "q", int)
-    if d is None or q is None:
-        build_parser().error("grid requires --d and --q, as flags or --config entries")
+    d = _required(run, args, cfg, "d", int)
+    q = _required(run, args, cfg, "q", int)
     domain = _parse_domain(args.domain, d) if args.domain else Box((0.0,) * d, (1.0,) * d)
     run.config["domain"] = domain.as_json()
     grid = build_grid(family, d, q, domain)
@@ -167,9 +182,9 @@ def cmd_sweep(args, run: _Run, cfg: dict) -> int:
     problem = problem_from_spec(spec)
     run.config["problem"] = problem.spec()
     family = _resolve(run, args.family, cfg, "family", NodeFamily.parse, "cgl")
-    q = _resolve(run, args.q, cfg, "q", int)
+    q = _required(run, args, cfg, "q", int)
     tol = _resolve(run, args.tol, cfg, "tol", float, 1e-8)
-    workers = _workers(_resolve(run, args.workers, cfg, "workers", int))
+    workers = _workers(_resolve(run, args.workers, cfg, "workers", _positive_int))
     run.config["workers"] = workers
     d = problem.domain.d
     grid = build_grid(family, d, q, problem.domain)
@@ -214,8 +229,8 @@ def cmd_interp(args, run: _Run, cfg: dict) -> int:
 
 def cmd_bound(args, run: _Run, cfg: dict) -> int:
     family = _resolve(run, args.family, cfg, "family", NodeFamily.parse, "cgl")
-    d = _resolve(run, args.d, cfg, "d", int)
-    q = _resolve(run, args.q, cfg, "q", int)
+    d = _required(run, args, cfg, "d", int)
+    q = _required(run, args, cfg, "q", int)
     mode = _resolve(run, args.lebesgue, cfg, "lebesgue", str, "bound")
     report = worst_case_coefficient(family, d, q, lebesgue_mode=mode)
     _write_json(run, args.out, report.__dict__)
@@ -225,8 +240,8 @@ def cmd_bound(args, run: _Run, cfg: dict) -> int:
 
 def cmd_mc_ebvp(args, run: _Run, cfg: dict) -> int:
     family = _resolve(run, args.family, cfg, "family", NodeFamily.parse, "cgl")
-    d = _resolve(run, args.d, cfg, "d", int)
-    q = _resolve(run, args.q, cfg, "q", int)
+    d = _required(run, args, cfg, "d", int)
+    q = _required(run, args, cfg, "q", int)
     n = _resolve(run, args.n, cfg, "n", int, 2000)
     seed = _resolve(run, args.seed, cfg, "seed", int, 0)
     run.seeds.append(seed)
@@ -240,9 +255,10 @@ def cmd_mc_ebvp(args, run: _Run, cfg: dict) -> int:
 def cmd_validate(args, run: _Run, cfg: dict) -> int:
     problem, solution, grid = _load_dataset(args, run)
     n = _resolve(run, args.n, cfg, "n", int, 300)
-    tol = _resolve(run, args.tol, cfg, "tol", float, 1e-7)
+    # the oracle stays 10x tighter than the sweep it checks
+    tol = _resolve(run, args.tol, cfg, "tol", float, float(solution.header["tolerance"]) / 10)
     seed = _resolve(run, args.seed, cfg, "seed", int, 0)
-    workers = _workers(_resolve(run, args.workers, cfg, "workers", int))
+    workers = _workers(_resolve(run, args.workers, cfg, "workers", _positive_int))
     run.config["workers"] = workers
     run.seeds.append(seed)
     law = fit_feedback(problem, grid, solution)
@@ -356,17 +372,19 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, out_default):
+    def common(p, out_default, handler, config_keys):
+        """--config and --out, the command's handler, and the --config keys it reads."""
         p.add_argument("--config", default=None, help="JSON config file (flags override it)")
         p.add_argument("--out", default=out_default, help="machine-readable output path")
+        p.set_defaults(handler=handler, config_keys=config_keys)
 
     p = sub.add_parser("grid", help="construct a sparse grid and report counts")
     p.add_argument("--family", default=None)
-    p.add_argument("--d", type=int, default=None, required=False)
-    p.add_argument("--q", type=int, default=None, required=False)
+    p.add_argument("--d", type=int, default=None)
+    p.add_argument("--q", type=int, default=None)
     p.add_argument("--domain", default=None, help="comma-separated lo:hi per axis (default unit cube)")
     p.add_argument("--points-csv", default=None, help="also write the full point list as CSV")
-    common(p, "grid.json")
+    common(p, "grid.json", cmd_grid, {"family", "d", "q"})
 
     p = sub.add_parser("sweep", help="solve the characteristic BVP at every grid point")
     p.add_argument("--problem", required=True)
@@ -374,43 +392,43 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--problem-config", default=None,
                    help="JSON object overriding AttitudeParams fields (B, J, H, W, T, domain)")
     p.add_argument("--family", default=None)
-    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--q", type=int, default=None)
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--workers", type=int, default=None)
-    common(p, "ds.jsonl")
+    common(p, "ds.jsonl", cmd_sweep, {"family", "q", "tol", "workers"})
 
     p = sub.add_parser("fit", help="fit hierarchical surpluses from a sweep dataset")
     p.add_argument("--dataset", required=True)
-    common(p, "fit.json")
+    common(p, "fit.json", cmd_fit, set())
 
     p = sub.add_parser("interp", help="evaluate interpolated V, costate and control at points")
     p.add_argument("--dataset", required=True)
     p.add_argument("--at", action="append", required=True,
                    help="comma-separated point, repeatable; includes t first for time-in-grid problems")
-    common(p, "interp.json")
+    common(p, "interp.json", cmd_interp, set())
 
     p = sub.add_parser("bound", help="worst-case error amplification coefficient")
     p.add_argument("--family", default=None)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--d", type=int, default=None)
+    p.add_argument("--q", type=int, default=None)
     p.add_argument("--lebesgue", default=None, choices=["bound", "numeric"])
-    common(p, "bound.json")
+    common(p, "bound.json", cmd_bound, {"family", "d", "q", "lebesgue"})
 
     p = sub.add_parser("mc-ebvp", help="Monte-Carlo estimate of the error functional")
     p.add_argument("--family", default=None)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--d", type=int, default=None)
+    p.add_argument("--q", type=int, default=None)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
-    common(p, "mc.json")
+    common(p, "mc.json", cmd_mc_ebvp, {"family", "d", "q", "n", "seed"})
 
     p = sub.add_parser("validate", help="compare interpolant against tight-tolerance solves")
     p.add_argument("--dataset", required=True)
     p.add_argument("--n", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=float, default=None, help="oracle tolerance (default: the dataset's / 10)")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--workers", type=int, default=None)
-    common(p, "report.json")
+    common(p, "report.json", cmd_validate, {"n", "tol", "seed", "workers"})
 
     p = sub.add_parser("mpc", help="closed-loop zero-order-hold simulation")
     p.add_argument("--dataset", required=True)
@@ -420,26 +438,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dt", type=float, default=None, help="sample period (overrides --hz)")
     p.add_argument("--tmax", type=float, default=None)
     p.add_argument("--seed", type=int, default=None)
-    common(p, "traj.csv")
+    common(p, "traj.csv", cmd_mpc, {"noise", "seed", "tmax", "hz"})
 
     p = sub.add_parser("order-check", help="convergence-order harness for the solver and interpolation")
     p.add_argument("--seed", type=int, default=None)
-    common(p, "order.json")
+    common(p, "order.json", cmd_order_check, {"seed"})
 
     return parser
-
-
-_HANDLERS = {
-    "grid": cmd_grid,
-    "sweep": cmd_sweep,
-    "fit": cmd_fit,
-    "interp": cmd_interp,
-    "bound": cmd_bound,
-    "mc-ebvp": cmd_mc_ebvp,
-    "validate": cmd_validate,
-    "mpc": cmd_mpc,
-    "order-check": cmd_order_check,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -449,9 +454,12 @@ def main(argv: list[str] | None = None) -> int:
     run = _Run(argv=argv, out=args.out)
     try:
         cfg = _load_config_file(args.config)
+        unread = sorted(set(cfg) - args.config_keys)
+        if unread:
+            raise HjbSparseError(f"{args.config}: {args.command} reads no config key {', '.join(map(repr, unread))}")
         if args.config:
             run.add_input(args.config)
-        code = _HANDLERS[args.command](args, run, cfg)
+        code = args.handler(args, run, cfg)
         run.write_manifest()
         return code
     except (HjbSparseError, ValueError, OSError) as exc:

@@ -203,11 +203,7 @@ class ValidationReport:
 
 def _oracle_chunk(args):
     problem, tol, items = args
-    out = []
-    for t0, x0 in items:
-        rec = solve_point(problem, t0, np.asarray(x0), tol)
-        out.append(rec.V if rec.converged else float("nan"))
-    return out
+    return [solve_point(problem, t0, x0, tol).V for t0, x0 in items]   # NaN where the solve failed
 
 
 def validate(problem: ControlProblem, law: FeedbackLaw, n_samples: int, tight_tol: float,

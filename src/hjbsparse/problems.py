@@ -78,7 +78,7 @@ class AttitudeProblem(ControlProblem):
         H_v = W1 (v - v_e) + (d(E w)/dv)^T lam_v + [(dR/dv_k H) . (w x mu)]_k.
 
     It holds v_e constant, which is true only once specialize has frozen the
-    target: on a reachable problem without target_attitude H_x raises
+    target: on a reachable problem without target_attitude, L and H_x raise
     ValueError.  assemble_bvp always specializes.
     """
 
@@ -121,9 +121,6 @@ class AttitudeProblem(ControlProblem):
         return np.vstack([vdot, wdot])
 
     def H_x(self, t, x, lam, u):
-        if self.reachable and self.target_attitude is None:
-            raise ValueError("the closed-form H_x holds the target attitude constant; "
-                             "call specialize(t0, x0) first to freeze it")
         W1, W2 = self.params.W[:2]
         H, J = self.params.H, self.params.J
         v, w, lam_v = x[:3], x[3:], lam[:3]
@@ -148,23 +145,23 @@ class AttitudeProblem(ControlProblem):
             dR_theta0 * w_mu[0] + RH[0] * (s1 * w_mu[1] + c1 * w_mu[2]),
             np.einsum("pi,ip->p", R @ np.array([H[1], -H[0], 0.0]), w_mu),
         ])
-        H_v = W1 * (v - self._target(x)) + kin + gyro
+        H_v = W1 * (v - self._target()) + kin + gyro
         E_t_lam = np.stack([lam_v[0], s1 * s2 / c2 * lam_v[0] + c1 * lam_v[1] + s1 / c2 * lam_v[2],
                             c1 * s2 / c2 * lam_v[0] - s1 * lam_v[1] + c1 / c2 * lam_v[2]])
         H_w = W2 * w + E_t_lam + np.cross(mu, RH, axis=0)
         return np.vstack([H_v, H_w])
 
-    def _target(self, x: np.ndarray) -> np.ndarray:
+    def _target(self) -> np.ndarray:
         if not self.reachable:
             return np.zeros((3, 1))
-        if self.target_attitude is not None:
-            return self.target_attitude[:, None]
-        cols = [optimal_attitude(self.params, x[:3, p], x[3:, p]).v_e for p in range(x.shape[1])]
-        return np.stack(cols, axis=1)
+        if self.target_attitude is None:
+            raise ValueError("the cost is centered at a per-point target attitude; "
+                             "call specialize(t0, x0) first to freeze it")
+        return self.target_attitude[:, None]
 
     def L(self, t, x, u):
         W1, W2, W3 = self.params.W[:3]
-        dv = x[:3] - self._target(x)
+        dv = x[:3] - self._target()
         return 0.5 * (W1 * (dv**2).sum(axis=0) + W2 * (x[3:] ** 2).sum(axis=0) + W3 * (u**2).sum(axis=0))
 
     def h(self, x):

@@ -109,7 +109,8 @@ class TestAssembleBvp:
     def test_pure_terminal_cost_value(self):
         # L = 0: z stays zero and V = h(x(T))
         p = PureDecay()
-        rec, sol = solve_point(p, 0.0, np.array([0.8]), tol=1e-10, return_solution=True)
+        rec = solve_point(p, 0.0, np.array([0.8]), tol=1e-10)
+        sol = bvp_solve(assemble_bvp(p, 0.0, np.array([0.8]), tol=1e-10))
         assert rec.converged
         x_T = 0.8 * math.exp(-p.horizon)
         assert rec.V == pytest.approx(x_T**2, rel=1e-8)
@@ -205,7 +206,7 @@ class TestSolvePoint:
     def test_infeasible_target_gives_a_failed_record(self):
         spec = make_example2().spec()
         spec["params"]["H"] = [0.1, 0.1, 0.05]
-        rec = solve_point(problem_from_spec(spec), 0.0, np.array([0.0, 0.0, 0.0, 0.0, 0.0, math.pi / 8]))
+        rec = solve_point(problem_from_spec(spec), 0.0, np.array([0.0, 0.0, 0.0, 0.0, 0.0, math.pi / 8]), tol=1e-8)
         assert rec.status == "InfeasibleTarget" and not rec.converged
         assert math.isnan(rec.V) and np.all(np.isnan(rec.lam))
         assert (rec.mesh, rec.newton, rec.meshes, rec.cont) == (0, 0, 0, False)
@@ -215,8 +216,9 @@ class TestSolvePoint:
         # midpoint reproduces z(T) + h - z(t_mid)
         t0, x0 = 1.0, np.array([0.8, -0.5, 1.2])
         tol = 1e-9
-        rec, sol = solve_point(ex3, t0, x0, tol=tol, return_solution=True)
-        assert rec.converged
+        rec = solve_point(ex3, t0, x0, tol=tol)
+        sol = bvp_solve(assemble_bvp(ex3, t0, x0, tol))
+        assert rec.converged and not rec.cont
         t_mid = 2.5
         y_mid = sol.interpolate(t_mid)
         x_mid, z_mid = y_mid[:3], y_mid[6]
@@ -225,7 +227,8 @@ class TestSolvePoint:
         assert rec_mid.V == pytest.approx(rec.V - z_mid, abs=10 * tol)
 
     def test_hamiltonian_stationarity_along_trajectory(self, ex3):
-        rec, sol = solve_point(ex3, 0.0, np.array([0.6, 0.2, -1.1]), tol=1e-9, return_solution=True)
+        sol = bvp_solve(assemble_bvp(ex3, 0.0, np.array([0.6, 0.2, -1.1]), tol=1e-9))
+        assert sol.status is BvpStatus.CONVERGED
         times = np.linspace(0.0, 5.0, 10)
         y = sol.interpolate(times)
         x, lam = y[:3], y[3:6]
@@ -258,7 +261,7 @@ class TestSweep:
     def test_failure_threshold(self, ex3, monkeypatch):
         real = chmod.solve_point
 
-        def flaky(problem, t0, x0, tol=1e-8, point_id=0, return_solution=False):
+        def flaky(problem, t0, x0, tol, point_id=0):
             rec = real(problem, t0, x0, tol, point_id=point_id)
             if point_id % 3 == 0:
                 rec = CharacteristicRecord(point_id, float("nan"), np.full(problem.n, np.nan),
@@ -269,8 +272,11 @@ class TestSweep:
         grid = build_grid(NodeFamily.CGL, 4, 5, ex3.domain)
         with pytest.raises(SweepError):
             sweep(ex3, grid, tol=1e-8, workers=1)
+        # a third of the points fail: the limit is the module's failure share
+        monkeypatch.setattr(chmod, "_MAX_SWEEP_FAILURES", 0.5)
+        assert len(sweep(ex3, grid, tol=1e-8, workers=1).failures) == (len(grid) + 2) // 3
 
-    def test_infeasible_targets_do_not_abort_the_sweep(self, workers):
+    def test_infeasible_targets_do_not_abort_the_sweep(self, workers, monkeypatch):
         # H = [0.1, 0.1, 0.05]: at 2 of the 13 points of CGL d6 q7 |c0| > |H|
         spec = make_example2().spec()
         spec["params"]["H"] = [0.1, 0.1, 0.05]
@@ -278,7 +284,8 @@ class TestSweep:
         grid = build_grid(NodeFamily.CGL, 6, 7, problem.domain)
         with pytest.raises(SweepError, match=r"2/13 grid points failed to solve \(InfeasibleTarget 2: "):
             sweep(problem, grid, tol=1e-8, workers=workers)
-        sol = sweep(problem, grid, tol=1e-8, workers=workers, failure_threshold=1.0)
+        monkeypatch.setattr(chmod, "_MAX_SWEEP_FAILURES", 1.0)
+        sol = sweep(problem, grid, tol=1e-8, workers=workers)
         statuses = [r.status for r in sol.records]
         assert statuses.count(BvpStatus.CONVERGED.value) == 11
         assert statuses.count("InfeasibleTarget") == 2

@@ -35,15 +35,46 @@ class TestBasics:
         assert code == 1
 
     @pytest.mark.parametrize("args", [["--q", "5"], ["--d", "2"]])
-    def test_grid_without_d_or_q_is_usage_error(self, args, tmp_path):
+    def test_grid_without_d_or_q_is_usage_error(self, args, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["grid", *args, "--out", str(tmp_path / "g.json")])
         assert exc.value.code == 2
+        assert f"grid requires --{'q' if '--d' in args else 'd'}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args, key", [
+        (["bound", "--d", "2"], "q"),
+        (["mc-ebvp", "--q", "6"], "d"),
+        (["sweep", "--problem", "example1"], "q"),
+    ])
+    def test_a_missing_setting_is_named(self, args, key, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*args, "--out", str(tmp_path / "o.json")])
+        assert exc.value.code == 2
+        assert f"{args[0]} requires --{key}, as a flag or a --config entry" in capsys.readouterr().err
 
     def test_workers_env_fallback(self, monkeypatch):
         monkeypatch.setenv("HJB_WORKERS", "5")
         assert _workers(None) == 5
         assert _workers(3) == 3
+
+    @pytest.mark.parametrize("flags, env, cfg, name", [
+        (["--workers", "-3"], None, {}, "workers"),
+        ([], "abc", {}, "HJB_WORKERS"),
+        ([], "0", {}, "HJB_WORKERS"),
+        ([], None, {"workers": 2.5}, "workers"),
+    ])
+    def test_workers_must_be_an_integer_of_at_least_one(self, flags, env, cfg, name, tmp_path, capsys,
+                                                        monkeypatch):
+        if env is not None:
+            monkeypatch.setenv("HJB_WORKERS", env)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "ds.jsonl"
+        code = main(["sweep", "--problem", "example1", "--q", "6", *flags, "--config", str(path),
+                     "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1 and not out.exists()
+        assert f"error: {name}: cannot read" in err and "Traceback" not in err
 
     def test_parser_covers_all_subcommands(self):
         parser = build_parser()
@@ -153,6 +184,14 @@ class TestPipeline:
         assert code == 1
         assert "tol" in err and "Traceback" not in err
 
+    def test_validate_oracle_defaults_to_a_tenth_of_the_sweep_tolerance(self, ds_path, tmp_path):
+        out_path = tmp_path / "report.json"
+        assert main(["validate", "--dataset", str(ds_path), "--n", "2", "--workers", "1",
+                     "--out", str(out_path)]) == 0
+        assert json.loads(ds_path.read_text().splitlines()[0])["tolerance"] == 1e-8
+        assert json.loads(out_path.read_text())["tight_tol"] == 1e-9
+        assert json.loads(Path(str(out_path) + ".manifest.json").read_text())["config"]["tol"] == 1e-9
+
     def test_validate(self, ds_path, tmp_path, capsys):
         out_path = tmp_path / "report.json"
         code, out = run(["validate", "--dataset", str(ds_path), "--n", "12", "--tol", "1e-8",
@@ -236,6 +275,16 @@ class TestPipeline:
         code = main(["fit", "--dataset", str(old), "--out", str(tmp_path / "fit.json")])
         assert code == 1
         assert "re-run" in capsys.readouterr().err
+
+    def test_header_without_tolerance_is_refused(self, ds_path, tmp_path, capsys):
+        lines = ds_path.read_text().splitlines()
+        header = json.loads(lines[0])
+        del header["tolerance"]
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n")
+        code = main(["validate", "--dataset", str(bad), "--out", str(tmp_path / "r.json")])
+        assert code == 1
+        assert "line 1: missing key 'tolerance'" in capsys.readouterr().err
 
     def test_missing_dataset_exits_one(self, tmp_path, capsys):
         code, _ = run(["validate", "--dataset", str(tmp_path / "nope.jsonl"),
@@ -364,6 +413,35 @@ class TestConfigPrecedence:
         err = capsys.readouterr().err
         assert code == 1
         assert f"error: {next(iter(cfg))}: cannot read" in err and "Traceback" not in err
+
+
+    @pytest.mark.parametrize("command, cfg", [
+        (["bound"], {"d": 2, "q": 5}),
+        (["mc-ebvp", "--n", "5"], {"d": 2, "q": 6}),
+        (["sweep", "--problem", "example1", "--workers", "1"], {"q": 6}),
+    ])
+    def test_config_supplies_d_and_q(self, command, cfg, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "o.json"
+        assert main([*command, "--config", str(path), "--out", str(out)]) == 0
+        manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
+        assert {k: manifest["config"][k] for k in cfg} == cfg
+
+    @pytest.mark.parametrize("command, cfg, unread", [
+        (["grid", "--d", "2", "--q", "4"], {"qq": 9}, "'qq'"),
+        (["fit", "--dataset", "absent.jsonl"], {"n": 3}, "'n'"),
+        (["validate", "--dataset", "absent.jsonl"], {"n": 3, "q": 6, "qq": 9}, "'q', 'qq'"),
+    ])
+    def test_config_key_the_command_does_not_read_exits_one(self, command, cfg, unread, tmp_path, capsys):
+        # refused before any work: the absent dataset is never opened
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "o.json"
+        code = main([*command, "--config", str(path), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1 and not out.exists()
+        assert f"{command[0]} reads no config key {unread}\n" in err and "absent.jsonl" not in err
 
 
 class TestMcEbvpCommand:

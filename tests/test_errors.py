@@ -149,7 +149,7 @@ class TestValidate:
         _, _, law = ex3_q9
         real = errmod.solve_point
 
-        def flaky(problem, t0, x0, tol, point_id=0, return_solution=False):
+        def flaky(problem, t0, x0, tol, point_id=0):
             rec = real(problem, t0, x0, tol)
             return CharacteristicRecord(rec.point_id, float("nan"), np.full(problem.n, np.nan),
                                         "NewtonDiverged", 1.0, rec.mesh)

@@ -6,9 +6,10 @@ equilibrium and P solves the Riccati equation
 
     -P' = Q/2 + A^T P + P A - 2 P B R^-1 B^T P,   P(T) = Q_f,
 
-for running cost (e^T Q e + u^T R u)/2 and terminal cost e^T Q_f e.  The
-relative error of the solved V is then first order in |x|: it halves when
-|x| halves.  A and B come from finite differences of AttitudeProblem.f alone,
+for running cost (e^T Q e + u^T R u)/2 and terminal cost e^T Q_f e, and the
+costate is its gradient, lam(0) = 2 P(0) e + O(|e|^2).  The relative errors
+of the solved V and lam(0) are then first order in |x|: they halve when |x|
+halves.  A and B come from finite differences of AttitudeProblem.f alone,
 so the oracle shares no derivative with the closed-form H_x.
 """
 
@@ -49,24 +50,31 @@ def riccati_p0(problem) -> np.ndarray:
     return 0.5 * (P + P.T)
 
 
-def relative_errors(problem, radii, equilibrium) -> np.ndarray:
+def relative_errors(problem, radii, equilibrium) -> tuple[np.ndarray, np.ndarray]:
+    """Relative errors of the solved V against e^T P(0) e and of lam(0) against 2 P(0) e, per radius."""
     P = riccati_p0(problem)
     d = np.random.default_rng(3).normal(size=6)
     d /= np.linalg.norm(d)
-    errs = []
+    errs, lam_errs = [], []
     for r in radii:
         x0 = r * d
         rec = solve_point(problem, 0.0, x0, tol=1e-10)
         assert rec.converged
         e = x0 - equilibrium(x0)
         errs.append(abs(rec.V - e @ P @ e) / (e @ P @ e))
-    return np.array(errs)
+        lam_errs.append(np.linalg.norm(rec.lam - 2 * P @ e) / np.linalg.norm(2 * P @ e))
+    return np.array(errs), np.array(lam_errs)
+
+
+def assert_first_order(errs):
+    assert np.all(np.abs(errs[1:] / errs[:-1] - 0.5) <= 0.05), errs
 
 
 def test_example1_value_error_is_first_order():
-    errs = relative_errors(make_example1(), (0.2, 0.1, 0.05, 0.025), lambda x0: np.zeros(6))
+    errs, lam_errs = relative_errors(make_example1(), (0.2, 0.1, 0.05, 0.025), lambda x0: np.zeros(6))
     assert errs[0] < 0.05
-    assert np.all(np.abs(errs[1:] / errs[:-1] - 0.5) <= 0.05), errs
+    assert_first_order(errs)
+    assert_first_order(lam_errs)
 
 
 def test_example2_value_error_is_first_order_about_its_target():
@@ -80,9 +88,10 @@ def test_example2_value_error_is_first_order_about_its_target():
     def target(x0):
         return np.concatenate([optimal_attitude(problem.params, x0[:3], x0[3:]).v_e, np.zeros(3)])
 
-    errs = relative_errors(problem, (0.1, 0.05, 0.025, 0.0125), target)
+    errs, lam_errs = relative_errors(problem, (0.1, 0.05, 0.025, 0.0125), target)
     assert errs[0] < 0.1
-    assert np.all(np.abs(errs[1:] / errs[:-1] - 0.5) <= 0.05), errs
+    assert_first_order(errs)
+    assert_first_order(lam_errs)
 
 
 @pytest.mark.parametrize("maker", [make_example1, make_example2])

@@ -196,7 +196,10 @@ class TestAttitudeHamiltonianGradient:
         x, lam, u = np.full((6, 1), 0.1), np.ones((6, 1)), np.zeros((2, 1))
         with pytest.raises(ValueError, match="specialize"):
             problem.H_x(0.0, x, lam, u)
-        assert np.all(np.isfinite(problem.specialize(0.0, x[:, 0]).H_x(0.0, x, lam, u)))
+        with pytest.raises(ValueError, match="specialize"):
+            problem.L(0.0, x, u)
+        frozen = problem.specialize(0.0, x[:, 0])
+        assert np.all(np.isfinite(frozen.H_x(0.0, x, lam, u))) and np.all(np.isfinite(frozen.L(0.0, x, u)))
 
 
 class TestProblemSpec:
