@@ -14,6 +14,14 @@ Jacobian block.  Residual, Jacobian and residual sampling are whole-mesh
 array operations, with one stacked rhs call per Jacobian (M perturbed copies
 of the states as M x P columns) and one per residual sampling (5K columns).
 
+Each Newton step is a condensed solve, as in COLSYS/COLNEW (Ascher, Mattheij
+& Russell, Numerical Solution of BVPs for ODEs, SIAM 1995, ch. 7): one
+batched dense solve per interval eliminates its two interior collocation
+points, which leaves one M x 2M block coupling mesh node k to node k+1.  With
+the left boundary rows first and the right ones last, the system over the
+mesh nodes is banded and takes one LAPACK gbsv call.  This needs separated
+boundary conditions: every bc component reads ya only or yb only.
+
 Error control is residual based.  The scaled residual uses a componentwise
 mixed absolute/relative scale with floor 1.0:
 
@@ -31,8 +39,8 @@ from typing import Callable
 
 import numpy as np
 from numpy.polynomial import Polynomial
-from scipy.sparse import coo_matrix
-from scipy.sparse.linalg import splu
+from scipy.linalg import solve_banded
+from scipy.sparse.linalg import splu  # noqa: F401  unused; perfbench/tracing.py wraps bvp.splu by name
 
 _SQRT_EPS = math.sqrt(np.finfo(float).eps)
 _MAX_NEWTON = 50                              # Newton iterations per mesh
@@ -75,7 +83,12 @@ class BvpProblem:
 
     rhs is vectorized: rhs(s: (P,), y: (M, P)) -> (M, P), column p depending
     only on s[p] and y[:, p] (the Jacobian passes M perturbed copies at once).
-    bc(ya: (M,), yb: (M,)) -> (M,) residuals, zero at the solution.
+    bc(ya: (M,), yb: (M,)) -> (M,) residuals, zero at the solution.  The
+    conditions must be separated: each component depends on ya only (a left
+    condition) or on yb only, in any order.  The Newton step eliminates every
+    interval's interior points and solves one banded system over the mesh
+    nodes, which a component reading both ends would couple; solve raises
+    ValueError for one.
     guess maps s: (P,) -> (M, P); defaults to zeros.
     """
 
@@ -152,17 +165,9 @@ class _Collocation:
         self.mesh = mesh
         self.h = np.diff(mesh)
         self.K = K = len(mesh) - 1
-        self.M = M = problem.ndim
+        self.M = problem.ndim
         self.s = _stage_abscissae(mesh)
         self.cols = 3 * np.arange(K)[:, None] + np.arange(4)[None, :]  # (K, 4)
-        self.nunk = (3 * K + 1) * M
-        # COO indices of the interval blocks (K, 3, 4, M, M), then of the boundary rows
-        first = 3 * M * np.arange(K).reshape(K, 1, 1, 1, 1)
-        rows = np.broadcast_to(first + np.arange(3 * M).reshape(3, 1, M, 1), (K, 3, 4, M, M))
-        cols = np.broadcast_to(first + np.arange(4 * M).reshape(1, 4, 1, M), (K, 3, 4, M, M))
-        bc_rows, bc_cols = np.divmod(3 * K * M * M + np.arange(M * M), M)
-        self._rows = np.concatenate([rows.ravel(), bc_rows, bc_rows])
-        self._cols = np.concatenate([cols.ravel(), bc_cols, 3 * K * M + bc_cols])
 
     def eval_f(self, y: np.ndarray, s: np.ndarray | None = None) -> np.ndarray:
         f = np.asarray(self.p.rhs(self.s if s is None else s, y), dtype=float)
@@ -188,6 +193,7 @@ class _Collocation:
         return (fp.reshape(M, M, P) - f[:, None, :]) / step[None, :, :]
 
     def jacobian(self, y: np.ndarray, f: np.ndarray):
+        """Interval blocks (K, 3, 4, M, M) and the boundary Jacobians d bc/d ya, d bc/d yb (M, M)."""
         M = self.M
         Jf = self.fd_jacobian(y, f).transpose(2, 0, 1)[self.cols]     # (K, 4, M, M)
         blocks = -(self.h[:, None, None] * _A[1:])[..., None, None] * Jf[:, None]   # (K, 3, 4, M, M)
@@ -207,9 +213,7 @@ class _Collocation:
             yb_p = yb.copy()
             yb_p[m] += db
             dbb[:, m] = (self.p.bc(ya, yb_p) - r0) / db
-        data = np.concatenate([blocks.ravel(), dba.ravel(), dbb.ravel()])
-        mat = coo_matrix((data, (self._rows, self._cols)), shape=(self.nunk, self.nunk))
-        return mat.tocsc()
+        return blocks, dba, dbb
 
     def scale(self, y: np.ndarray, f: np.ndarray) -> np.ndarray:
         return np.maximum(1.0, np.maximum(np.abs(y).max(axis=1), np.abs(f).max(axis=1)))
@@ -230,14 +234,13 @@ class _Collocation:
         for it in range(max_iter):
             if norm <= newton_tol:
                 return y, f, norm, it, True
-            J = self.jacobian(y, f)
             try:
-                delta = splu(J).solve(-F)
-            except RuntimeError:
+                delta = _condensed_solve(*self.jacobian(y, f), F)
+            except np.linalg.LinAlgError:
                 return y, f, norm, it, False
             if not np.all(np.isfinite(delta)):
                 return y, f, norm, it, False
-            step = delta.reshape(-1, self.M).T
+            step = delta.T
             alpha, improved = 1.0, False
             for _ in range(9):
                 y_try = y + alpha * step
@@ -269,6 +272,51 @@ class _Collocation:
         sprime = np.stack([np.einsum("j,mkj->mk", lag, f_stage) for lag in _RES_L], axis=1)
         f_mid = self.eval_f(y_mid.reshape(M, 5 * K), s_mid.ravel()).reshape(M, 5, K)
         return (np.abs(sprime - f_mid) / self.scale(y, f)[:, None, None]).max(axis=(0, 1))
+
+
+def _condensed_solve(blocks: np.ndarray, dba: np.ndarray, dbb: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """The Newton step delta (3K+1, M) of J delta = -F, J given by _Collocation.jacobian.
+
+    With X = A^-1 [A_0 | A_3 | F_23] from each interval's stage-2/3 rows (A:
+    its interior-point columns, A_0/A_3: its node columns), the interior step
+    is -(X_F + X_0 d_k + X_3 d_k+1) and the stage-4 rows' Schur complement
+    S = [E_0 | E_3 | F_4] - E X couples node k to node k+1 only.  Left bc
+    rows (d bc/d yb exactly zero), then the K blocks S, then the right bc rows
+    make the node system banded: kl = m_a + M - 1, ku = max(2M - 1 - m_a, M - 1)
+    for m_a left rows.  Raises LinAlgError when a solve meets an exactly
+    singular matrix, ValueError when a bc row reads both ends.
+    """
+    K, M = blocks.shape[0], blocks.shape[-1]
+    left = ~dbb.any(axis=1)
+    if np.any(~left & dba.any(axis=1)):
+        raise ValueError("the boundary conditions are not separated: "
+                         "a bc component depends on both ya and yb")
+    B = blocks.transpose(0, 1, 3, 2, 4).reshape(K, 3 * M, 4 * M)
+    BF = np.concatenate([B[:, :, :M], B[:, :, 3 * M:], F[: 3 * K * M].reshape(K, 3 * M, 1)], axis=2)
+    X = np.linalg.solve(B[:, : 2 * M, M : 3 * M], BF[:, : 2 * M])          # (K, 2M, 2M+1)
+    S = BF[:, 2 * M :] - B[:, 2 * M :, M : 3 * M] @ X                     # (K, M, 2M+1)
+
+    m_a = int(left.sum())
+    kl, ku = m_a + M - 1, max(2 * M - 1 - m_a, M - 1)
+    ab = np.zeros((kl + ku + 1, (K + 1) * M))          # ab[ku + r - c, c] = J_nodes[r, c]
+    i, j = np.arange(M)[:, None], np.arange(M)
+    ab[ku + i[:m_a] - j, j] = dba[left]
+    j2 = np.arange(2 * M)
+    ab[ku + m_a + i - j2, M * np.arange(K)[:, None, None] + j2] = S[:, :, : 2 * M]
+    ab[ku + m_a + i[: M - m_a] - j, K * M + j] = dbb[~left]
+    F_bc = F[3 * K * M :]
+    rhs = -np.concatenate([F_bc[left], S[:, :, 2 * M].ravel(), F_bc[~left]])
+    # unchecked: a non-finite Jacobian gives a non-finite step, which newton rejects
+    z = solve_banded((kl, ku), ab, rhs, overwrite_ab=True, overwrite_b=True,
+                     check_finite=False).reshape(K + 1, M)
+
+    nodes = np.concatenate([z[:-1], z[1:]], axis=1)[:, :, None]           # (K, 2M, 1)
+    interior = -(X[:, :, 2 * M] + (X[:, :, : 2 * M] @ nodes)[:, :, 0])    # (K, 2M)
+    delta = np.empty((3 * K + 1, M))
+    delta[::3] = z
+    delta[1::3] = interior[:, :M]
+    delta[2::3] = interior[:, M:]
+    return delta
 
 
 def _pack_solution(coll: _Collocation, y: np.ndarray, f: np.ndarray, status: BvpStatus,

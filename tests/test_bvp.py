@@ -12,6 +12,7 @@ from hjbsparse.bvp import (
     BvpProblem,
     BvpStatus,
     _Collocation,
+    _condensed_solve,
     _stage_abscissae,
     empirical_order,
     solve,
@@ -51,6 +52,20 @@ def expsin_problem(tol=1e-8):
 
 def expsin_exact(s):
     return np.stack([np.exp(np.sin(s)), np.cos(s) * np.exp(np.sin(s))])
+
+
+def logistic_problem(tol=1e-6):
+    # one left condition and no right one (m_a = M)
+    def rhs(s, y):
+        return np.stack([y[0] * (1.0 - y[0])])
+
+    def bc(ya, yb):
+        return np.array([ya[0] - 0.5])
+
+    def guess(s):
+        return np.stack([0.5 + 0.0 * s])
+
+    return BvpProblem(ndim=1, rhs=rhs, bc=bc, interval=(0, 2), tol=tol, guess=guess)
 
 
 class TestSolve:
@@ -138,19 +153,7 @@ class TestResidualHonesty:
         out.append((BvpProblem(ndim=2, rhs=rhs_cosh, bc=bc_cosh, interval=(0, 1), tol=1e-6),
                     lambda s: np.stack([np.cosh(s), np.sinh(s)])))
 
-        def rhs_logistic(s, y):
-            return np.stack([y[0] * (1.0 - y[0])])
-
-        def bc_logistic(ya, yb):
-            return np.array([ya[0] - 0.5])
-
-        def guess_logistic(s):
-            return np.stack([0.5 + 0.0 * s])
-
-        sig = lambda s: 1.0 / (1.0 + np.exp(-s))
-        out.append((BvpProblem(ndim=1, rhs=rhs_logistic, bc=bc_logistic, interval=(0, 2), tol=1e-6,
-                               guess=guess_logistic),
-                    lambda s: np.stack([sig(s)])))
+        out.append((logistic_problem(1e-6), lambda s: np.stack([1.0 / (1.0 + np.exp(-s))])))
 
         def rhs_rational(s, y):
             return np.stack([-y[0] ** 2])
@@ -267,6 +270,18 @@ def dense_residual_jacobian(coll, y):
     return J
 
 
+def dense_jacobian(coll, blocks, dba, dbb):
+    """The full collocation Jacobian from _Collocation.jacobian's blocks, rows in residual order."""
+    K, M = coll.K, coll.M
+    J = np.zeros(((3 * K + 1) * M,) * 2)
+    for k in range(K):
+        J[3 * k * M : 3 * (k + 1) * M, 3 * k * M : 3 * k * M + 4 * M] = \
+            blocks[k].transpose(0, 2, 1, 3).reshape(3 * M, 4 * M)
+    J[3 * K * M :, :M] = dba
+    J[3 * K * M :, 3 * K * M :] = dbb
+    return J
+
+
 def per_theta_residuals(coll, y, f):
     """Residual sampling with one rhs call per sample offset: the reference for the stacked call."""
     f_stage = f[:, coll.cols]
@@ -286,8 +301,8 @@ class TestBlockLayout:
                              ids=["example1", "expsin"])
     def test_jacobian_matches_finite_differences_of_the_residual(self, make):
         coll, y, f = perturbed_collocation(make(), 4)
-        J = coll.jacobian(y, f).toarray()
-        assert J.shape == (coll.nunk, coll.nunk) == (13 * coll.M,) * 2
+        J = dense_jacobian(coll, *coll.jacobian(y, f))
+        assert J.shape == (13 * coll.M,) * 2
         assert np.abs(J - dense_residual_jacobian(coll, y)).max() <= 1e-5 * np.abs(J).max()
 
     @pytest.mark.parametrize("make", [example1_characteristic_bvp, expsin_problem],
@@ -308,3 +323,32 @@ class TestBlockLayout:
         calls.clear()
         coll.interval_residuals(y, f)
         assert calls == [(13, 5 * 5)]
+
+
+def separated_bc_problem(bc):
+    return BvpProblem(ndim=2, rhs=lambda s, y: np.stack([y[1], -y[0]]), bc=bc, interval=(0.0, 1.0), tol=1e-6)
+
+
+class TestCondensedSolve:
+    @pytest.mark.parametrize("intervals", [4, 16])
+    @pytest.mark.parametrize("make", [example1_characteristic_bvp, expsin_problem, logistic_problem],
+                             ids=["example1", "expsin", "logistic"])
+    def test_step_equals_the_dense_solve(self, make, intervals):
+        # example1's bc lists x(t0), lambda(T), z(t0): its left rows are not contiguous;
+        # logistic has left rows only (m_a = M)
+        coll, y, f = perturbed_collocation(make(), intervals)
+        blocks, dba, dbb = coll.jacobian(y, f)
+        F = coll.residual(y, f)
+        want = np.linalg.solve(dense_jacobian(coll, blocks, dba, dbb), -F).reshape(-1, coll.M)
+        got = _condensed_solve(blocks, dba, dbb, F)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+    def test_coupled_bc_raises(self):
+        periodic = separated_bc_problem(lambda ya, yb: np.array([ya[0] - yb[0], ya[1] - 1.0]))
+        with pytest.raises(ValueError, match="separated"):
+            solve(periodic)
+
+    def test_bc_row_reading_neither_end_is_newton_diverged(self):
+        singular = separated_bc_problem(lambda ya, yb: np.array([ya[0], 1.0]))
+        assert solve(singular).status is BvpStatus.NEWTON_DIVERGED

@@ -7,7 +7,8 @@ renaming any of them breaks the benchmark without failing any other test:
 - grid.build_grid, characteristics.build_grid and errors.build_grid
 - SparseGrid.cells, .ref, .phys and .domain
 - the problem class's f, L, H_x, u_star, h and h_x
-- bvp.splu
+- bvp.splu, which the solver no longer calls: bvp.py keeps the import only
+  so that tracing.py's wrap finds it (bvp.splu_calls and bvp.splu_s read 0)
 - characteristics: bvp_solve, sweep, solve_point, GridSolution.save_jsonl,
   load_jsonl, fit_feedback, FeedbackLaw.control, .value and .costate,
   fit_hierarchical, _solve_chunk and ProcessPoolExecutor
