@@ -325,7 +325,7 @@ class TestBlockLayout:
         assert calls == [(13, 5 * 5)]
 
 
-def separated_bc_problem(bc):
+def oscillator_with_bc(bc):
     return BvpProblem(ndim=2, rhs=lambda s, y: np.stack([y[1], -y[0]]), bc=bc, interval=(0.0, 1.0), tol=1e-6)
 
 
@@ -345,10 +345,10 @@ class TestCondensedSolve:
         assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
     def test_coupled_bc_raises(self):
-        periodic = separated_bc_problem(lambda ya, yb: np.array([ya[0] - yb[0], ya[1] - 1.0]))
+        periodic = oscillator_with_bc(lambda ya, yb: np.array([ya[0] - yb[0], ya[1] - 1.0]))
         with pytest.raises(ValueError, match="separated"):
             solve(periodic)
 
     def test_bc_row_reading_neither_end_is_newton_diverged(self):
-        singular = separated_bc_problem(lambda ya, yb: np.array([ya[0], 1.0]))
+        singular = oscillator_with_bc(lambda ya, yb: np.array([ya[0], 1.0]))
         assert solve(singular).status is BvpStatus.NEWTON_DIVERGED
