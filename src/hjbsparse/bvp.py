@@ -154,10 +154,10 @@ class _Collocation:
 
     Unknown pM + m is y[m, p] at collocation point p.  Interval k reads points
     3k..3k+3 (columns 3kM..3kM+4M) and owns the rows of its stages 2..4 (rows
-    3kM..3kM+3M); the M boundary rows come last.  Its block (i, j) is
-    delta_ij I - delta_j0 I - h_k a_ij Jf(s_kj), all held as one (K, 3, 4, M, M)
-    array: the almost-block-diagonal form of Ascher, Mattheij & Russell,
-    Numerical Solution of BVPs for ODEs (SIAM 1995), ch. 7.
+    3kM..3kM+3M); the M boundary rows come last.  That (3M x 4M) block, held in
+    one (K, 3M, 4M) array, has M x M sub-block (i, j) = delta_i+1,j I -
+    delta_j0 I - h_k a_i+1,j Jf(s_kj): the almost-block-diagonal form of
+    Ascher, Mattheij & Russell, Numerical Solution of BVPs for ODEs (SIAM 1995), ch. 7.
     """
 
     def __init__(self, problem: BvpProblem, mesh: np.ndarray):
@@ -193,13 +193,13 @@ class _Collocation:
         return (fp.reshape(M, M, P) - f[:, None, :]) / step[None, :, :]
 
     def jacobian(self, y: np.ndarray, f: np.ndarray):
-        """Interval blocks (K, 3, 4, M, M) and the boundary Jacobians d bc/d ya, d bc/d yb (M, M)."""
-        M = self.M
-        Jf = self.fd_jacobian(y, f).transpose(2, 0, 1)[self.cols]     # (K, 4, M, M)
-        blocks = -(self.h[:, None, None] * _A[1:])[..., None, None] * Jf[:, None]   # (K, 3, 4, M, M)
-        eye = np.eye(M)                 # delta_ij I - delta_j0 I, on those blocks only
-        blocks[:, np.arange(3), np.arange(1, 4)] += eye
-        blocks[:, :, 0] -= eye
+        """Interval blocks (K, 3M, 4M) and the boundary Jacobians d bc/d ya, d bc/d yb (M, M)."""
+        M, K = self.M, self.K
+        Jf = self.fd_jacobian(y, f)[:, :, self.cols].transpose(2, 0, 3, 1)   # (K, M, 4, M)
+        blocks = -(self.h[:, None, None] * _A[1:])[:, :, None, :, None] * Jf[:, None]   # (K, 3, M, 4, M)
+        eye = np.eye(M)                 # delta_i+1,j I - delta_j0 I, on those sub-blocks only
+        blocks[:, np.arange(3), :, np.arange(1, 4)] += eye
+        blocks[:, :, :, 0] -= eye
         ya, yb = y[:, 0], y[:, -1]
         r0 = self.p.bc(ya, yb)
         dba = np.empty((M, M))
@@ -213,7 +213,7 @@ class _Collocation:
             yb_p = yb.copy()
             yb_p[m] += db
             dbb[:, m] = (self.p.bc(ya, yb_p) - r0) / db
-        return blocks, dba, dbb
+        return blocks.reshape(K, 3 * M, 4 * M), dba, dbb
 
     def scale(self, y: np.ndarray, f: np.ndarray) -> np.ndarray:
         return np.maximum(1.0, np.maximum(np.abs(y).max(axis=1), np.abs(f).max(axis=1)))
@@ -277,24 +277,24 @@ class _Collocation:
 def _condensed_solve(blocks: np.ndarray, dba: np.ndarray, dbb: np.ndarray, F: np.ndarray) -> np.ndarray:
     """The Newton step delta (3K+1, M) of J delta = -F, J given by _Collocation.jacobian.
 
-    With X = A^-1 [A_0 | A_3 | F_23] from each interval's stage-2/3 rows (A:
-    its interior-point columns, A_0/A_3: its node columns), the interior step
-    is -(X_F + X_0 d_k + X_3 d_k+1) and the stage-4 rows' Schur complement
-    S = [E_0 | E_3 | F_4] - E X couples node k to node k+1 only.  Left bc
-    rows (d bc/d yb exactly zero), then the K blocks S, then the right bc rows
-    make the node system banded: kl = m_a + M - 1, ku = max(2M - 1 - m_a, M - 1)
-    for m_a left rows.  Raises LinAlgError when a solve meets an exactly
-    singular matrix, ValueError when a bc row reads both ends.
+    Rows 0..2M of blocks[k] are stages 2/3, rows 2M..3M stage 4; columns 0..M
+    and 3M..4M are nodes k and k+1.  With X = A^-1 [A_0 | A_3 | F_23] from the
+    stage-2/3 rows (A: interior columns M..3M, A_0/A_3: node columns), the
+    interior step is -(X_F + X_0 d_k + X_3 d_k+1) and the stage-4 rows' Schur
+    complement S = [E_0 | E_3 | F_4] - E X couples node k to node k+1 only.
+    Left bc rows (d bc/d yb exactly zero), then the K blocks S, then the right
+    bc rows make the node system banded: kl = m_a + M - 1, ku = max(2M - 1 -
+    m_a, M - 1) for m_a left rows.  Raises LinAlgError when a solve meets an
+    exactly singular matrix, ValueError when a bc row reads both ends.
     """
-    K, M = blocks.shape[0], blocks.shape[-1]
+    K, M = blocks.shape[0], dba.shape[0]
     left = ~dbb.any(axis=1)
     if np.any(~left & dba.any(axis=1)):
         raise ValueError("the boundary conditions are not separated: "
                          "a bc component depends on both ya and yb")
-    B = blocks.transpose(0, 1, 3, 2, 4).reshape(K, 3 * M, 4 * M)
-    BF = np.concatenate([B[:, :, :M], B[:, :, 3 * M:], F[: 3 * K * M].reshape(K, 3 * M, 1)], axis=2)
-    X = np.linalg.solve(B[:, : 2 * M, M : 3 * M], BF[:, : 2 * M])          # (K, 2M, 2M+1)
-    S = BF[:, 2 * M :] - B[:, 2 * M :, M : 3 * M] @ X                     # (K, M, 2M+1)
+    BF = np.concatenate([blocks[:, :, :M], blocks[:, :, 3 * M:], F[: 3 * K * M].reshape(K, 3 * M, 1)], axis=2)
+    X = np.linalg.solve(blocks[:, : 2 * M, M : 3 * M], BF[:, : 2 * M])     # (K, 2M, 2M+1)
+    S = BF[:, 2 * M :] - blocks[:, 2 * M :, M : 3 * M] @ X                # (K, M, 2M+1)
 
     m_a = int(left.sum())
     kl, ku = m_a + M - 1, max(2 * M - 1 - m_a, M - 1)

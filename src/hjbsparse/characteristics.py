@@ -17,7 +17,6 @@ bit-identically and the sweep result does not depend on the worker count.
 from __future__ import annotations
 
 import json
-import os
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -229,11 +228,9 @@ def _solve_chunk(args):
     return [solve_point(problem, t0, x0, tol, point_id=pid) for pid, t0, x0 in items]
 
 
-def map_chunks(chunk_fn, problem: ControlProblem, tol: float, items: list, workers: int | None) -> list:
+def map_chunks(chunk_fn, problem: ControlProblem, tol: float, items: list, workers: int) -> list:
     """chunk_fn((problem, tol, chunk)) over round-robin chunks of items on a process pool
     (in-process for one worker or fewer than 4 items); one result per item, in item order."""
-    if workers is None:
-        workers = os.cpu_count() or 1
     if workers <= 1 or len(items) < 4:
         return chunk_fn((problem, tol, items))
     nchunks = min(len(items), 4 * workers)
@@ -360,7 +357,7 @@ def load_jsonl(path) -> tuple[dict, GridSolution, SparseGrid]:
     return header, GridSolution(header=header, records=records), grid
 
 
-def sweep(problem: ControlProblem, grid: SparseGrid, tol: float, workers: int | None = None) -> GridSolution:
+def sweep(problem: ControlProblem, grid: SparseGrid, tol: float, workers: int) -> GridSolution:
     """Solve the characteristic BVP at every grid point, embarrassingly parallel.
 
     Results are keyed by point id, so the dataset body is identical for any

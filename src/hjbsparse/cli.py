@@ -35,9 +35,16 @@ from .problems import make_problem, problem_from_spec
 from .util import jsonable, sha256_file
 
 
+def _int(value) -> int:
+    """An integer setting; a boolean or a non-integral number is refused, not truncated."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError("expected an integer")
+    return int(value)
+
+
 def _positive_int(value) -> int:
-    n = int(value)
-    if n < 1 or n != float(value):
+    n = _int(value)
+    if n < 1:
         raise ValueError("expected an integer >= 1")
     return n
 
@@ -124,10 +131,10 @@ def _read(name: str, value, convert):
 
 
 def _resolve(run: _Run, flag_value, cfg: dict, key: str, convert, default=None):
-    """The flag, else the --config entry, else the default, read by convert; None stays None."""
+    """The flag, else the --config entry (null too), else the default, read by convert; unset is None."""
     value = flag_value if flag_value is not None else cfg.get(key, default)
     run.config[key] = value
-    return None if value is None else _read(key, value, convert)
+    return None if value is None and key not in cfg else _read(key, value, convert)
 
 
 def _required(run: _Run, args, cfg: dict, key: str, convert):
@@ -151,8 +158,8 @@ def _load_dataset(args, run: _Run):
 
 def cmd_grid(args, run: _Run, cfg: dict) -> int:
     family = _resolve(run, args.family, cfg, "family", NodeFamily.parse, "cgl")
-    d = _required(run, args, cfg, "d", int)
-    q = _required(run, args, cfg, "q", int)
+    d = _required(run, args, cfg, "d", _int)
+    q = _required(run, args, cfg, "q", _int)
     domain = _parse_domain(args.domain, d) if args.domain else Box((0.0,) * d, (1.0,) * d)
     run.config["domain"] = domain.as_json()
     grid = build_grid(family, d, q, domain)
@@ -182,7 +189,7 @@ def cmd_sweep(args, run: _Run, cfg: dict) -> int:
     problem = problem_from_spec(spec)
     run.config["problem"] = problem.spec()
     family = _resolve(run, args.family, cfg, "family", NodeFamily.parse, "cgl")
-    q = _required(run, args, cfg, "q", int)
+    q = _required(run, args, cfg, "q", _int)
     tol = _resolve(run, args.tol, cfg, "tol", float, 1e-8)
     workers = _workers(_resolve(run, args.workers, cfg, "workers", _positive_int))
     run.config["workers"] = workers
@@ -229,8 +236,8 @@ def cmd_interp(args, run: _Run, cfg: dict) -> int:
 
 def cmd_bound(args, run: _Run, cfg: dict) -> int:
     family = _resolve(run, args.family, cfg, "family", NodeFamily.parse, "cgl")
-    d = _required(run, args, cfg, "d", int)
-    q = _required(run, args, cfg, "q", int)
+    d = _required(run, args, cfg, "d", _int)
+    q = _required(run, args, cfg, "q", _int)
     mode = _resolve(run, args.lebesgue, cfg, "lebesgue", str, "bound")
     report = worst_case_coefficient(family, d, q, lebesgue_mode=mode)
     _write_json(run, args.out, report.__dict__)
@@ -240,10 +247,10 @@ def cmd_bound(args, run: _Run, cfg: dict) -> int:
 
 def cmd_mc_ebvp(args, run: _Run, cfg: dict) -> int:
     family = _resolve(run, args.family, cfg, "family", NodeFamily.parse, "cgl")
-    d = _required(run, args, cfg, "d", int)
-    q = _required(run, args, cfg, "q", int)
-    n = _resolve(run, args.n, cfg, "n", int, 2000)
-    seed = _resolve(run, args.seed, cfg, "seed", int, 0)
+    d = _required(run, args, cfg, "d", _int)
+    q = _required(run, args, cfg, "q", _int)
+    n = _resolve(run, args.n, cfg, "n", _int, 2000)
+    seed = _resolve(run, args.seed, cfg, "seed", _int, 0)
     run.seeds.append(seed)
     report = mc_ebvp(family, d, q, n_eval=n, seed=seed)
     payload = {k: v for k, v in report.__dict__.items() if k != "ratios"}
@@ -254,10 +261,10 @@ def cmd_mc_ebvp(args, run: _Run, cfg: dict) -> int:
 
 def cmd_validate(args, run: _Run, cfg: dict) -> int:
     problem, solution, grid = _load_dataset(args, run)
-    n = _resolve(run, args.n, cfg, "n", int, 300)
+    n = _resolve(run, args.n, cfg, "n", _int, 300)
     # the oracle stays 10x tighter than the sweep it checks
     tol = _resolve(run, args.tol, cfg, "tol", float, float(solution.header["tolerance"]) / 10)
-    seed = _resolve(run, args.seed, cfg, "seed", int, 0)
+    seed = _resolve(run, args.seed, cfg, "seed", _int, 0)
     workers = _workers(_resolve(run, args.workers, cfg, "workers", _positive_int))
     run.config["workers"] = workers
     run.seeds.append(seed)
@@ -280,7 +287,7 @@ def cmd_mpc(args, run: _Run, cfg: dict) -> int:
     problem, solution, grid = _load_dataset(args, run)
     x0 = check_x0(problem, _parse_vector(args.x0))
     noise = _resolve(run, args.noise, cfg, "noise", float, 0.0)
-    seed = _resolve(run, args.seed, cfg, "seed", int, 0)
+    seed = _resolve(run, args.seed, cfg, "seed", _int, 0)
     t_max = _resolve(run, args.tmax, cfg, "tmax", float, problem.horizon)
     if args.dt is not None:
         dt = float(args.dt)
@@ -333,7 +340,7 @@ def cmd_order_check(args, run: _Run, cfg: dict) -> int:
     )
 
     # interpolation convergence on the oscillatory product function
-    seed = _resolve(run, args.seed, cfg, "seed", int, 0)
+    seed = _resolve(run, args.seed, cfg, "seed", _int, 0)
     run.seeds.append(seed)
     from .util import make_rng
     rng = make_rng(seed)

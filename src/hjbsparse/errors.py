@@ -20,7 +20,7 @@ points; by linearity the result rescales exactly with the error magnitude.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -192,13 +192,7 @@ class ValidationReport:
     samples: list[SamplePoint]
 
     def as_json(self) -> dict:
-        out = {k: getattr(self, k) for k in (
-            "problem", "n_requested", "n_used", "n_oracle_failures", "tight_tol", "seed", "rng",
-            "mae", "relative_mae", "max_abs_error", "error_variance",
-            "histogram_edges", "histogram_counts")}
-        out["samples"] = [{"t": s.t, "x": s.x, "oracle": s.oracle,
-                           "interpolated": s.interpolated, "error": s.error} for s in self.samples]
-        return out
+        return asdict(self)
 
 
 def _oracle_chunk(args):
@@ -207,7 +201,7 @@ def _oracle_chunk(args):
 
 
 def validate(problem: ControlProblem, law: FeedbackLaw, n_samples: int, tight_tol: float,
-             seed: int, workers: int | None = None) -> ValidationReport:
+             seed: int, workers: int) -> ValidationReport:
     """Compare interpolated V with independent solves at tight_tol on random points.
 
     Sampling is uniform over the physical box (time axis included when the

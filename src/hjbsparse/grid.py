@@ -247,7 +247,7 @@ class SparseGrid:
         self.levels = column_level[self.cols]
         self.offsets = column_offset[self.cols]
         self.ref = table_nodes(family, self.ref_level)[self.cols]
-        self.phys = domain.lo + self.ref * domain.width
+        self.phys = domain.to_phys(self.ref)
         for arr in (self.cols, self.levels, self.offsets, self.ref, self.phys):
             arr.setflags(write=False)
 

@@ -275,8 +275,7 @@ def dense_jacobian(coll, blocks, dba, dbb):
     K, M = coll.K, coll.M
     J = np.zeros(((3 * K + 1) * M,) * 2)
     for k in range(K):
-        J[3 * k * M : 3 * (k + 1) * M, 3 * k * M : 3 * k * M + 4 * M] = \
-            blocks[k].transpose(0, 2, 1, 3).reshape(3 * M, 4 * M)
+        J[3 * k * M : 3 * (k + 1) * M, 3 * k * M : 3 * k * M + 4 * M] = blocks[k]
     J[3 * K * M :, :M] = dba
     J[3 * K * M :, 3 * K * M :] = dbb
     return J

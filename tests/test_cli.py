@@ -62,6 +62,7 @@ class TestBasics:
         ([], "abc", {}, "HJB_WORKERS"),
         ([], "0", {}, "HJB_WORKERS"),
         ([], None, {"workers": 2.5}, "workers"),
+        ([], None, {"workers": True}, "workers"),
     ])
     def test_workers_must_be_an_integer_of_at_least_one(self, flags, env, cfg, name, tmp_path, capsys,
                                                         monkeypatch):
@@ -405,6 +406,9 @@ class TestConfigPrecedence:
     @pytest.mark.parametrize("command, cfg", [
         (["mc-ebvp", "--family", "cgl", "--d", "2", "--q", "6"], {"n": [1]}),
         (["grid", "--d", "2", "--q", "4"], {"family": 3}),
+        (["grid", "--d", "2", "--q", "4"], {"family": None}),
+        (["mc-ebvp"], {"seed": None, "d": 2, "q": 4}),
+        (["grid"], {"q": 4.7, "d": 2}),
     ])
     def test_config_value_of_the_wrong_type_exits_one(self, command, cfg, tmp_path, capsys):
         path = tmp_path / "cfg.json"
