@@ -5,10 +5,12 @@ output (resolved config, seeds, code version, timestamps, input/output
 digests), and every number printed to stdout is also present in the
 machine-readable output file.
 
-Config precedence: command-line flags > --config JSON file > defaults.
-Worker count falls back to the HJB_WORKERS environment variable, then to the
-available parallelism.  Exit codes: 0 success, 1 domain/runtime errors,
-2 usage errors.
+Each setting is declared once: _SETTINGS gives its flag type and converter,
+and a command's common(...) call its default.  main resolves every setting a
+command declares before the handler runs: the flag, else the --config entry
+(null included), else the default, read by the converter.  Worker count falls
+back to the HJB_WORKERS environment variable, then to the available
+parallelism.  Exit codes: 0 success, 1 domain/runtime errors, 2 usage errors.
 """
 
 from __future__ import annotations
@@ -47,6 +49,38 @@ def _positive_int(value) -> int:
     if n < 1:
         raise ValueError("expected an integer >= 1")
     return n
+
+
+def _seed(value) -> int:
+    """A seed; Philox takes it as a 128-bit key."""
+    n = _int(value)
+    if not 0 <= n < 2**128:
+        raise ValueError("expected an integer in [0, 2**128)")
+    return n
+
+
+def _lebesgue(value) -> str:
+    if value not in ("bound", "numeric"):
+        raise ValueError("expected bound|numeric")
+    return value
+
+
+REQUIRED = object()  # the default of a setting the command cannot run without
+
+# setting -> (the type argparse gives its flag, the converter of its resolved value, help)
+_SETTINGS = {
+    "family": (str, NodeFamily.parse, "node family: classic|modified|cgl"),
+    "d": (int, _int, "dimension"),
+    "q": (int, _int, "depth"),
+    "n": (int, _int, "number of samples"),
+    "seed": (int, _seed, "seed of the counter-based RNG"),
+    "workers": (int, _positive_int, "worker processes (unset: HJB_WORKERS, else the available parallelism)"),
+    "tol": (float, float, "solver tolerance (unset in validate: the dataset's / 10)"),
+    "lebesgue": (str, _lebesgue, "Lebesgue constants: bound|numeric"),
+    "noise": (float, float, "uniform noise amplitude, fraction of halfwidth"),
+    "hz": (float, float, "sampling rate"),
+    "tmax": (float, float, "simulated time (unset: the problem's horizon)"),
+}
 
 
 def _workers(value) -> int:
@@ -99,17 +133,16 @@ class _Run:
             "started": self.started,
             "finished": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
             "inputs": self.inputs,
-            "outputs": {p: sha256_file(p) for p in self.outputs if Path(p).exists()},
+            "outputs": {p: sha256_file(p) for p in [str(self.out), *self.outputs] if Path(p).exists()},
         }
         path = str(self.out) + ".manifest.json"
         with open(path, "w") as fh:
             json.dump(manifest, fh, indent=2)
 
 
-def _write_json(run: _Run, path, payload: dict):
+def _write_json(path, payload: dict):
     with open(path, "w") as fh:
         json.dump(jsonable(payload), fh, indent=2)
-    run.outputs.append(str(path))
 
 
 def _load_config_file(path) -> dict:
@@ -130,21 +163,6 @@ def _read(name: str, value, convert):
         raise HjbSparseError(f"{name}: cannot read {value!r} ({exc})") from None
 
 
-def _resolve(run: _Run, flag_value, cfg: dict, key: str, convert, default=None):
-    """The flag, else the --config entry (null too), else the default, read by convert; unset is None."""
-    value = flag_value if flag_value is not None else cfg.get(key, default)
-    run.config[key] = value
-    return None if value is None and key not in cfg else _read(key, value, convert)
-
-
-def _required(run: _Run, args, cfg: dict, key: str, convert):
-    """_resolve of a setting without a default; missing from flags and config is a usage error."""
-    value = _resolve(run, getattr(args, key), cfg, key, convert)
-    if value is None:
-        build_parser().error(f"{args.command} requires --{key}, as a flag or a --config entry")
-    return value
-
-
 def _load_dataset(args, run: _Run):
     """The dataset's solution and grid, and the problem its header specifies."""
     run.add_input(args.dataset)
@@ -156,17 +174,15 @@ def _load_dataset(args, run: _Run):
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_grid(args, run: _Run, cfg: dict) -> int:
-    family = _resolve(run, args.family, cfg, "family", NodeFamily.parse, "cgl")
-    d = _required(run, args, cfg, "d", _int)
-    q = _required(run, args, cfg, "q", _int)
+def cmd_grid(args, run: _Run) -> int:
+    family, d, q = args.family, args.d, args.q
     domain = _parse_domain(args.domain, d) if args.domain else Box((0.0,) * d, (1.0,) * d)
     run.config["domain"] = domain.as_json()
     grid = build_grid(family, d, q, domain)
     payload = grid.info()
     payload["dense_count"] = dense_size(family, d, q)
     payload["count_formula"] = grid_size(family, d, q)
-    _write_json(run, args.out, payload)
+    _write_json(args.out, payload)
     if args.points_csv:
         with open(args.points_csv, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -181,30 +197,24 @@ def cmd_grid(args, run: _Run, cfg: dict) -> int:
     return 0
 
 
-def cmd_sweep(args, run: _Run, cfg: dict) -> int:
+def cmd_sweep(args, run: _Run) -> int:
     spec = make_problem(args.problem, args.domain_id or "d1").spec()
     if args.problem_config:
         run.add_input(args.problem_config)
         spec["params"].update(_load_config_file(args.problem_config))
     problem = problem_from_spec(spec)
     run.config["problem"] = problem.spec()
-    family = _resolve(run, args.family, cfg, "family", NodeFamily.parse, "cgl")
-    q = _required(run, args, cfg, "q", _int)
-    tol = _resolve(run, args.tol, cfg, "tol", float, 1e-8)
-    workers = _workers(_resolve(run, args.workers, cfg, "workers", _positive_int))
-    run.config["workers"] = workers
-    d = problem.domain.d
-    grid = build_grid(family, d, q, problem.domain)
-    solution = sweep(problem, grid, tol=tol, workers=workers)
+    workers = run.config["workers"] = _workers(args.workers)
+    grid = build_grid(args.family, problem.domain.d, args.q, problem.domain)
+    solution = sweep(problem, grid, tol=args.tol, workers=workers)
     solution.save_jsonl(args.out, grid)
-    run.outputs.append(args.out)
     n_fail = len(solution.failures)
     run.config.update({"points": len(grid), "converged": len(grid) - n_fail, "failed": n_fail})
     print(f"points={len(grid)} converged={len(grid) - n_fail} failed={n_fail} out={args.out}")
     return 0
 
 
-def cmd_fit(args, run: _Run, cfg: dict) -> int:
+def cmd_fit(args, run: _Run) -> int:
     problem, solution, grid = _load_dataset(args, run)
     law = fit_feedback(problem, grid, solution)
     payload = {
@@ -215,12 +225,12 @@ def cmd_fit(args, run: _Run, cfg: dict) -> int:
         "value_surpluses": law.value.surpluses,
         "costate_surpluses": law.costate.surpluses,
     }
-    _write_json(run, args.out, payload)
+    _write_json(args.out, payload)
     print(f"fitted {len(grid)} points; max |V surplus| = {payload['max_abs_value_surplus']}")
     return 0
 
 
-def cmd_interp(args, run: _Run, cfg: dict) -> int:
+def cmd_interp(args, run: _Run) -> int:
     problem, solution, grid = _load_dataset(args, run)
     law = fit_feedback(problem, grid, solution)
     pts = [_parse_vector(a) for a in args.at]
@@ -230,47 +240,34 @@ def cmd_interp(args, run: _Run, cfg: dict) -> int:
         u = law.control(t, x)
         rows.append({"point": p, "t": t, "V": law.value_at(t, x), "lam": lam, "u": u})
         print(f"at {p.tolist()}: V={rows[-1]['V']} u={u.tolist()}")
-    _write_json(run, args.out, {"dataset": str(args.dataset), "evaluations": rows})
+    _write_json(args.out, {"dataset": str(args.dataset), "evaluations": rows})
     return 0
 
 
-def cmd_bound(args, run: _Run, cfg: dict) -> int:
-    family = _resolve(run, args.family, cfg, "family", NodeFamily.parse, "cgl")
-    d = _required(run, args, cfg, "d", _int)
-    q = _required(run, args, cfg, "q", _int)
-    mode = _resolve(run, args.lebesgue, cfg, "lebesgue", str, "bound")
-    report = worst_case_coefficient(family, d, q, lebesgue_mode=mode)
-    _write_json(run, args.out, report.__dict__)
-    print(f"coefficient={report.coefficient:.6g} (family={family.value} d={d} q={q} mode={mode})")
+def cmd_bound(args, run: _Run) -> int:
+    report = worst_case_coefficient(args.family, args.d, args.q, lebesgue_mode=args.lebesgue)
+    _write_json(args.out, report.__dict__)
+    print(f"coefficient={report.coefficient:.6g} "
+          f"(family={args.family.value} d={args.d} q={args.q} mode={args.lebesgue})")
     return 0
 
 
-def cmd_mc_ebvp(args, run: _Run, cfg: dict) -> int:
-    family = _resolve(run, args.family, cfg, "family", NodeFamily.parse, "cgl")
-    d = _required(run, args, cfg, "d", _int)
-    q = _required(run, args, cfg, "q", _int)
-    n = _resolve(run, args.n, cfg, "n", _int, 2000)
-    seed = _resolve(run, args.seed, cfg, "seed", _int, 0)
-    run.seeds.append(seed)
-    report = mc_ebvp(family, d, q, n_eval=n, seed=seed)
+def cmd_mc_ebvp(args, run: _Run) -> int:
+    report = mc_ebvp(args.family, args.d, args.q, n_eval=args.n, seed=args.seed)
     payload = {k: v for k, v in report.__dict__.items() if k != "ratios"}
-    _write_json(run, args.out, payload)
-    print(f"max |e_BVP/eps| = {report.max_ratio:.4f} over {n} points (seed={seed})")
+    _write_json(args.out, payload)
+    print(f"max |e_BVP/eps| = {report.max_ratio:.4f} over {args.n} points (seed={args.seed})")
     return 0
 
 
-def cmd_validate(args, run: _Run, cfg: dict) -> int:
+def cmd_validate(args, run: _Run) -> int:
     problem, solution, grid = _load_dataset(args, run)
-    n = _resolve(run, args.n, cfg, "n", _int, 300)
-    # the oracle stays 10x tighter than the sweep it checks
-    tol = _resolve(run, args.tol, cfg, "tol", float, float(solution.header["tolerance"]) / 10)
-    seed = _resolve(run, args.seed, cfg, "seed", _int, 0)
-    workers = _workers(_resolve(run, args.workers, cfg, "workers", _positive_int))
-    run.config["workers"] = workers
-    run.seeds.append(seed)
+    if args.tol is None:  # the oracle stays 10x tighter than the sweep it checks
+        args.tol = run.config["tol"] = float(solution.header["tolerance"]) / 10
+    workers = run.config["workers"] = _workers(args.workers)
     law = fit_feedback(problem, grid, solution)
-    report = validate(problem, law, n_samples=n, tight_tol=tol, seed=seed, workers=workers)
-    _write_json(run, args.out, report.as_json())
+    report = validate(problem, law, n_samples=args.n, tight_tol=args.tol, seed=args.seed, workers=workers)
+    _write_json(args.out, report.as_json())
     hist_path = str(args.out) + ".hist.csv"
     with open(hist_path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -283,31 +280,23 @@ def cmd_validate(args, run: _Run, cfg: dict) -> int:
     return 0
 
 
-def cmd_mpc(args, run: _Run, cfg: dict) -> int:
+def cmd_mpc(args, run: _Run) -> int:
     problem, solution, grid = _load_dataset(args, run)
     x0 = check_x0(problem, _parse_vector(args.x0))
-    noise = _resolve(run, args.noise, cfg, "noise", float, 0.0)
-    seed = _resolve(run, args.seed, cfg, "seed", _int, 0)
-    t_max = _resolve(run, args.tmax, cfg, "tmax", float, problem.horizon)
-    if args.dt is not None:
-        dt = float(args.dt)
-    else:
-        hz = _resolve(run, args.hz, cfg, "hz", float, 10.0)
-        if not hz > 0:
-            raise ValueError(f"--hz must be > 0, got {hz}")
-        dt = 1.0 / hz
+    t_max = run.config["tmax"] = problem.horizon if args.tmax is None else args.tmax
+    if args.dt is None and not args.hz > 0:
+        raise ValueError(f"--hz must be > 0, got {args.hz}")
+    dt = 1.0 / args.hz if args.dt is None else args.dt
     run.config.update({"dt": dt, "x0": x0.tolist()})
-    run.seeds.append(seed)
     mode = HorizonMode.TIME_IN_GRID if problem.time_in_grid else HorizonMode.FIXED_INITIAL
     run.config["horizon_mode"] = mode.value
     problem = problem.specialize(0.0, x0)  # as simulate does; solves Example II's target attitude once
     if getattr(problem, "target_attitude", None) is not None:
         run.config["target_attitude"] = problem.target_attitude.tolist()
     law = fit_feedback(problem, grid, solution)
-    config = MpcConfig(dt=dt, t_max=t_max, noise_fraction=noise, horizon_mode=mode, seed=seed)
+    config = MpcConfig(dt=dt, t_max=t_max, noise_fraction=args.noise, horizon_mode=mode, seed=args.seed)
     traj = simulate(problem, law, x0, config)
     emit_trajectory(traj, args.out, problem)
-    run.outputs.append(args.out)
     run.config.update({"status": traj.status, "samples": len(traj.times),
                        "clamps": len(traj.clamp_events)})
     print(f"status={traj.status} samples={len(traj.times)} "
@@ -315,7 +304,7 @@ def cmd_mpc(args, run: _Run, cfg: dict) -> int:
     return 0
 
 
-def cmd_order_check(args, run: _Run, cfg: dict) -> int:
+def cmd_order_check(args, run: _Run) -> int:
     def rhs_sin(s, y):
         return np.stack([y[1], -y[0]])
 
@@ -340,10 +329,8 @@ def cmd_order_check(args, run: _Run, cfg: dict) -> int:
     )
 
     # interpolation convergence on the oscillatory product function
-    seed = _resolve(run, args.seed, cfg, "seed", _int, 0)
-    run.seeds.append(seed)
     from .util import make_rng
-    rng = make_rng(seed)
+    rng = make_rng(args.seed)
     sample_pts = rng.uniform(0.0, 1.0, size=(10_000, 2))
     errs, ns = [], []
     for q in range(6, 13):
@@ -365,7 +352,7 @@ def cmd_order_check(args, run: _Run, cfg: dict) -> int:
         "growth_fitted_degree": rate.fitted_degree,
         "growth_coefficients": rate.coefficients,
     }
-    _write_json(run, args.out, payload)
+    _write_json(args.out, payload)
     print(f"bvp orders: linear={fit_sin.order:.3f} nonlinear={fit_exp.order:.3f}; "
           f"interp slope={slope:.3f}; growth degree={rate.fitted_degree:.3f}")
     return 0
@@ -379,77 +366,59 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, out_default, handler, config_keys):
-        """--config and --out, the command's handler, and the --config keys it reads."""
+    def common(p, out_default, handler, **settings):
+        """The flag of each setting the command reads (its --config keys), --config and --out, and the handler.
+
+        settings maps each setting to its default: a value, REQUIRED, or None when the handler works it out.
+        """
+        for name, default in settings.items():
+            kind, _, text = _SETTINGS[name]
+            shown = "" if default is None else " (required)" if default is REQUIRED else f" (default: {default})"
+            p.add_argument(f"--{name}", type=kind, default=None, help=text + shown)
         p.add_argument("--config", default=None, help="JSON config file (flags override it)")
         p.add_argument("--out", default=out_default, help="machine-readable output path")
-        p.set_defaults(handler=handler, config_keys=config_keys)
+        p.set_defaults(handler=handler, settings=settings)
 
     p = sub.add_parser("grid", help="construct a sparse grid and report counts")
-    p.add_argument("--family", default=None)
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--q", type=int, default=None)
     p.add_argument("--domain", default=None, help="comma-separated lo:hi per axis (default unit cube)")
     p.add_argument("--points-csv", default=None, help="also write the full point list as CSV")
-    common(p, "grid.json", cmd_grid, {"family", "d", "q"})
+    common(p, "grid.json", cmd_grid, family="cgl", d=REQUIRED, q=REQUIRED)
 
     p = sub.add_parser("sweep", help="solve the characteristic BVP at every grid point")
     p.add_argument("--problem", required=True)
     p.add_argument("--domain-id", default=None, choices=["d1", "d2"])
     p.add_argument("--problem-config", default=None,
                    help="JSON object overriding AttitudeParams fields (B, J, H, W, T, domain)")
-    p.add_argument("--family", default=None)
-    p.add_argument("--q", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--workers", type=int, default=None)
-    common(p, "ds.jsonl", cmd_sweep, {"family", "q", "tol", "workers"})
+    common(p, "ds.jsonl", cmd_sweep, family="cgl", q=REQUIRED, tol=1e-8, workers=None)
 
     p = sub.add_parser("fit", help="fit hierarchical surpluses from a sweep dataset")
     p.add_argument("--dataset", required=True)
-    common(p, "fit.json", cmd_fit, set())
+    common(p, "fit.json", cmd_fit)
 
     p = sub.add_parser("interp", help="evaluate interpolated V, costate and control at points")
     p.add_argument("--dataset", required=True)
     p.add_argument("--at", action="append", required=True,
                    help="comma-separated point, repeatable; includes t first for time-in-grid problems")
-    common(p, "interp.json", cmd_interp, set())
+    common(p, "interp.json", cmd_interp)
 
     p = sub.add_parser("bound", help="worst-case error amplification coefficient")
-    p.add_argument("--family", default=None)
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--q", type=int, default=None)
-    p.add_argument("--lebesgue", default=None, choices=["bound", "numeric"])
-    common(p, "bound.json", cmd_bound, {"family", "d", "q", "lebesgue"})
+    common(p, "bound.json", cmd_bound, family="cgl", d=REQUIRED, q=REQUIRED, lebesgue="bound")
 
     p = sub.add_parser("mc-ebvp", help="Monte-Carlo estimate of the error functional")
-    p.add_argument("--family", default=None)
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--q", type=int, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    common(p, "mc.json", cmd_mc_ebvp, {"family", "d", "q", "n", "seed"})
+    common(p, "mc.json", cmd_mc_ebvp, family="cgl", d=REQUIRED, q=REQUIRED, n=2000, seed=0)
 
     p = sub.add_parser("validate", help="compare interpolant against tight-tolerance solves")
     p.add_argument("--dataset", required=True)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None, help="oracle tolerance (default: the dataset's / 10)")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--workers", type=int, default=None)
-    common(p, "report.json", cmd_validate, {"n", "tol", "seed", "workers"})
+    common(p, "report.json", cmd_validate, n=300, tol=None, seed=0, workers=None)
 
     p = sub.add_parser("mpc", help="closed-loop zero-order-hold simulation")
     p.add_argument("--dataset", required=True)
     p.add_argument("--x0", required=True, help="comma-separated initial state")
-    p.add_argument("--noise", type=float, default=None, help="uniform noise amplitude, fraction of halfwidth")
-    p.add_argument("--hz", type=float, default=None, help="sampling rate (default 10)")
     p.add_argument("--dt", type=float, default=None, help="sample period (overrides --hz)")
-    p.add_argument("--tmax", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    common(p, "traj.csv", cmd_mpc, {"noise", "seed", "tmax", "hz"})
+    common(p, "traj.csv", cmd_mpc, noise=0.0, seed=0, tmax=None, hz=10.0)
 
     p = sub.add_parser("order-check", help="convergence-order harness for the solver and interpolation")
-    p.add_argument("--seed", type=int, default=None)
-    common(p, "order.json", cmd_order_check, {"seed"})
+    common(p, "order.json", cmd_order_check, seed=0)
 
     return parser
 
@@ -461,12 +430,23 @@ def main(argv: list[str] | None = None) -> int:
     run = _Run(argv=argv, out=args.out)
     try:
         cfg = _load_config_file(args.config)
-        unread = sorted(set(cfg) - args.config_keys)
+        unread = sorted(set(cfg) - set(args.settings))
         if unread:
             raise HjbSparseError(f"{args.config}: {args.command} reads no config key {', '.join(map(repr, unread))}")
         if args.config:
             run.add_input(args.config)
-        code = args.handler(args, run, cfg)
+        for name, default in args.settings.items():
+            flag = getattr(args, name)
+            value = cfg.get(name, default) if flag is None else flag
+            if value is REQUIRED:
+                parser.error(f"{args.command} requires --{name}, as a flag or a --config entry")
+            run.config[name] = value
+            if value is not None or name in cfg:
+                value = _read(name, value, _SETTINGS[name][1])
+            setattr(args, name, value)
+        if "seed" in args.settings:
+            run.seeds.append(args.seed)
+        code = args.handler(args, run)
         run.write_manifest()
         return code
     except (HjbSparseError, ValueError, OSError) as exc:

@@ -45,13 +45,13 @@ class BoundReport:
 
 
 def _level_lambdas(family: NodeFamily, max_level: int, mode: str) -> list[float]:
+    if mode not in ("bound", "numeric"):
+        raise GridSpecError(f"unknown lebesgue mode {mode!r}; expected bound|numeric")
     if family is not NodeFamily.CGL:
         return [1.0] * max_level
     if mode == "bound":
         return [1.0] + [lebesgue_bound(i) for i in range(2, max_level + 1)]
-    if mode == "numeric":
-        return [lebesgue_constant(family, i) for i in range(1, max_level + 1)]
-    raise GridSpecError(f"unknown lebesgue mode {mode!r}; expected bound|numeric")
+    return [lebesgue_constant(family, i) for i in range(1, max_level + 1)]
 
 
 def s_values(lambdas: list[float], d: int, q: int) -> dict[int, float]:

@@ -22,6 +22,7 @@ kernel and the hierarchization read the same columns.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -137,6 +138,8 @@ class Box:
         if len(self.lower) != len(self.upper):
             raise GridSpecError("domain lower/upper length mismatch")
         for lo, hi in zip(self.lower, self.upper):
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise GridSpecError(f"domain axis [{lo}, {hi}] has a bound that is not finite")
             if not lo < hi:
                 raise GridSpecError(f"domain axis [{lo}, {hi}] is empty")
 

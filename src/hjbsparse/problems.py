@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -87,9 +88,9 @@ class AttitudeProblem(ControlProblem):
     terminal: bool = True            # quadratic terminal cost W4|v|^2 + W5|w|^2
     reachable: bool = False          # running cost centered at the optimal reachable attitude
     target_attitude: np.ndarray | None = None
-    n: int = 6
-    time_in_grid: bool = False
-    state_labels: tuple[str, ...] = ("phi", "theta", "psi", "w1", "w2", "w3")
+    n: ClassVar[int] = 6
+    time_in_grid: ClassVar[bool] = False
+    state_labels: ClassVar[tuple[str, ...]] = ("phi", "theta", "psi", "w1", "w2", "w3")
 
     def __post_init__(self):
         self.m = self.params.B.shape[1]
@@ -292,18 +293,19 @@ def optimal_attitude(params: AttitudeParams, v: np.ndarray, w: np.ndarray) -> Re
 
 @dataclass
 class AnalyticProblem(ControlProblem):
-    """3-state problem with known value function, solved over the (t, x) box."""
+    """3-state problem with known value function, solved over the (t, x) box.
 
-    name: str = "example3"
-    n: int = 3
-    m: int = 1
-    horizon: float = 5.0
-    time_in_grid: bool = True
-    state_labels: tuple[str, ...] = ("x1", "x2", "x3")
-    control_labels: tuple[str, ...] = ("u",)
+    It has no fields: spec() records none, so problem_from_spec rebuilds it exactly.
+    """
 
-    def __post_init__(self):
-        self.domain = Box((0.0, -2.0, -2.0, -2.0), (self.horizon, 2.0, 2.0, 2.0))
+    name: ClassVar[str] = "example3"
+    n: ClassVar[int] = 3
+    m: ClassVar[int] = 1
+    horizon: ClassVar[float] = 5.0
+    time_in_grid: ClassVar[bool] = True
+    state_labels: ClassVar[tuple[str, ...]] = ("x1", "x2", "x3")
+    control_labels: ClassVar[tuple[str, ...]] = ("u",)
+    domain: ClassVar[Box] = Box((0.0, -2.0, -2.0, -2.0), (horizon, 2.0, 2.0, 2.0))
 
     def f(self, t, x, u):
         x1, x2, x3 = x

@@ -1,4 +1,5 @@
 import json
+import shlex
 from dataclasses import replace
 from pathlib import Path
 
@@ -77,6 +78,27 @@ class TestBasics:
         assert code == 1 and not out.exists()
         assert f"error: {name}: cannot read" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("flags, name", [(["mc-ebvp", "--d", "2", "--q", "4", "--seed", "-1"], "seed"),
+                                             (["bound", "--d", "2", "--q", "4", "--lebesgue", "foo"], "lebesgue")])
+    def test_flag_value_the_converter_refuses_is_named(self, flags, name, tmp_path, capsys):
+        out = tmp_path / "o.json"
+        code = main([*flags, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1 and not out.exists()
+        assert f"error: {name}: cannot read" in err and "Traceback" not in err
+
+    def test_readme_examples_parse(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("## Command line", 1)[1].split("```bash", 1)[1].split("```", 1)[0]
+        lines = [line for line in block.splitlines() if line.startswith("hjbsparse ")]
+        assert len(lines) == 10
+        for line in lines:
+            build_parser().parse_args(shlex.split(line)[1:])
+
+    def test_help_shows_each_declared_default(self):
+        text = build_parser()._subparsers._group_actions[0].choices["sweep"].format_help()
+        assert "(default: 1e-08)" in text and "(default: cgl)" in text and "(required)" in text
+
     def test_parser_covers_all_subcommands(self):
         parser = build_parser()
         subs = parser._subparsers._group_actions[0].choices
@@ -100,6 +122,12 @@ class TestBasics:
 
 
 class TestGridCommand:
+    def test_domain_with_a_bound_that_is_not_finite_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "g.json"
+        code = main(["grid", "--d", "2", "--q", "3", "--domain", "0:1,0:inf", "--out", str(out)])
+        assert code == 1 and not out.exists()
+        assert "not finite" in capsys.readouterr().err
+
     def test_published_count_printed_and_written(self, tmp_path, capsys):
         out_path = tmp_path / "grid.json"
         csv_path = tmp_path / "points.csv"
@@ -409,6 +437,9 @@ class TestConfigPrecedence:
         (["grid", "--d", "2", "--q", "4"], {"family": None}),
         (["mc-ebvp"], {"seed": None, "d": 2, "q": 4}),
         (["grid"], {"q": 4.7, "d": 2}),
+        (["bound", "--family", "classic", "--d", "2", "--q", "4"], {"lebesgue": None}),
+        (["mc-ebvp", "--d", "2", "--q", "4"], {"seed": -1}),
+        (["mc-ebvp", "--d", "2", "--q", "4"], {"seed": 2**128}),
     ])
     def test_config_value_of_the_wrong_type_exits_one(self, command, cfg, tmp_path, capsys):
         path = tmp_path / "cfg.json"

@@ -14,7 +14,7 @@ from hjbsparse.errors import (
     worst_case_coefficient,
     validate,
 )
-from hjbsparse.exceptions import ValidationError
+from hjbsparse.exceptions import GridSpecError, ValidationError
 from hjbsparse.grid import NodeFamily, build_grid
 from hjbsparse.interp import lebesgue_bound, lebesgue_constant
 from hjbsparse.util import make_rng
@@ -47,6 +47,11 @@ class TestWorstCaseCoefficient:
     def test_cgl_paper_scale_value(self):
         rep = worst_case_coefficient(NodeFamily.CGL, 6, 13)
         assert 3.66e4 * 0.95 <= rep.coefficient <= 3.66e4 * 1.05
+
+    @pytest.mark.parametrize("family", list(NodeFamily))
+    def test_unknown_lebesgue_mode_rejected_for_every_family(self, family):
+        with pytest.raises(GridSpecError, match="unknown lebesgue mode"):
+            worst_case_coefficient(family, 2, 4, lebesgue_mode="foo")
 
     def test_numeric_mode_below_bound_mode(self):
         b = worst_case_coefficient(NodeFamily.CGL, 4, 10, "bound").coefficient

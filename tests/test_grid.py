@@ -206,3 +206,9 @@ class TestDomainMaps:
     def test_empty_axis_rejected(self):
         with pytest.raises(GridSpecError):
             Box((1.0,), (1.0,))
+
+    @pytest.mark.parametrize("lower, upper", [((0.0, 0.0), (1.0, math.inf)), ((-math.inf,), (0.0,)),
+                                              ((0.0, math.nan), (1.0, 1.0))])
+    def test_bound_that_is_not_finite_rejected(self, lower, upper):
+        with pytest.raises(GridSpecError, match="not finite"):
+            Box(lower, upper)

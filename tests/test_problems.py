@@ -1,6 +1,6 @@
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -9,6 +9,8 @@ from attitude_oracle import rotation, slsqp_attitude
 from hjbsparse.characteristics import ControlProblem
 from hjbsparse.exceptions import InfeasibleTargetError, SingularityError, TargetSolveError
 from hjbsparse.problems import (
+    AnalyticProblem,
+    AttitudeProblem,
     _rotation_cols,
     conserved_quantity,
     example3_control,
@@ -223,6 +225,14 @@ class TestProblemSpec:
 
     def test_example3_has_no_params(self):
         assert make_example3().spec() == {"id": "example3", "params": {}}
+
+    def test_only_fields_the_spec_or_the_factories_set_are_instance_fields(self):
+        # spec() records the id and params alone, so any other field would not survive a round trip
+        with pytest.raises(TypeError):
+            AnalyticProblem(horizon=2.0)
+        assert [f.name for f in fields(AnalyticProblem)] == []
+        assert {f.name for f in fields(AttitudeProblem)} == {"params", "name", "terminal", "reachable",
+                                                              "target_attitude"}
 
     @pytest.mark.parametrize("spec", [
         "example1",
