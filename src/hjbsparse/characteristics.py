@@ -29,7 +29,7 @@ from .bvp import BvpProblem, BvpSolution, BvpStatus, solve as bvp_solve
 from .exceptions import FitError, InfeasibleTargetError, SweepError, TargetSolveError
 from .grid import Box, NodeFamily, SparseGrid, build_grid
 from .interp import Interpolant, fit_hierarchical
-from .util import central_difference, jsonable
+from .util import central_difference, json_default
 
 _DEGENERATE_HORIZON = 1e-13
 _MAX_SWEEP_FAILURES = 0.01         # failed share of grid points that aborts a sweep
@@ -262,31 +262,23 @@ class GridSolution:
 
     def record_lines(self, grid: SparseGrid) -> list[str]:
         """Deterministic JSON record lines (the dataset body)."""
-        lines = []
-        for r in self.records:
-            i = r.point_id
-            obj = {
-                "id": i,
-                "mi": [int(v) for v in grid.levels[i]],
-                "off": [int(v) for v in grid.offsets[i]],
-                "x": [float(v) for v in grid.phys[i]],
-                "V": float(r.V) if np.isfinite(r.V) else None,
-                "lam": [float(v) if np.isfinite(v) else None for v in r.lam],
-                "status": r.status,
-                "res": float(r.residual) if np.isfinite(r.residual) else None,
-                "mesh": int(r.mesh),
-                "newton": int(r.newton),
-                "meshes": int(r.meshes),
-                "cont": bool(r.cont),
-            }
-            lines.append(json.dumps(obj, separators=(",", ":")))
-        return lines
+        keys = _grid_keys(grid)
+        return [json.dumps({**{key: column[r.point_id] for key, column in keys.items()},
+                            **{key: write(getattr(r, name)) for key, (name, write, _) in _RECORD_KEYS.items()}},
+                           separators=(",", ":"))
+                for r in self.records]
 
     def save_jsonl(self, path, grid: SparseGrid) -> None:
         with open(path, "w") as fh:
-            fh.write(json.dumps(jsonable(self.header), separators=(",", ":")) + "\n")
+            fh.write(json.dumps(self.header, separators=(",", ":"), default=json_default) + "\n")
             for line in self.record_lines(grid):
                 fh.write(line + "\n")
+
+
+def _grid_keys(grid: SparseGrid) -> dict[str, list]:
+    """The keys that place each record on the grid, by point: id, level and offset multi-indices, coordinates."""
+    return {"id": list(range(len(grid))), "mi": grid.levels.tolist(), "off": grid.offsets.tolist(),
+            "x": grid.phys.tolist()}
 
 
 def _field(obj, key: str, convert):
@@ -299,6 +291,10 @@ def _field(obj, key: str, convert):
         raise ValueError(f"malformed {key!r}: {exc}") from None
 
 
+def _float_or_null(v) -> float | None:
+    return float(v) if np.isfinite(v) else None
+
+
 def _nan_or_float(v) -> float:
     return np.nan if v is None else float(v)
 
@@ -309,18 +305,29 @@ def _bool(v) -> bool:
     return v
 
 
-def _record(obj) -> CharacteristicRecord:
-    return CharacteristicRecord(
-        point_id=_field(obj, "id", int),
-        V=_field(obj, "V", _nan_or_float),
-        lam=_field(obj, "lam", lambda v: np.array([_nan_or_float(x) for x in v])),
-        status=_field(obj, "status", str),
-        residual=_field(obj, "res", _nan_or_float),
-        mesh=_field(obj, "mesh", int),
-        newton=_field(obj, "newton", int),
-        meshes=_field(obj, "meshes", int),
-        cont=_field(obj, "cont", _bool),
-    )
+# record key after the grid keys -> (CharacteristicRecord field, JSON writer of the field, reader), in line order;
+# a value that is not finite is written as null and read back as NaN
+_RECORD_KEYS = {
+    "V": ("V", _float_or_null, _nan_or_float),
+    "lam": ("lam", lambda lam: [_float_or_null(v) for v in lam], lambda v: np.array([_nan_or_float(x) for x in v])),
+    "status": ("status", str, str),
+    "res": ("residual", _float_or_null, _nan_or_float),
+    "mesh": ("mesh", int, int),
+    "newton": ("newton", int, int),
+    "meshes": ("meshes", int, int),
+    "cont": ("cont", bool, _bool),
+}
+
+
+def _record(obj, k: int, grid_keys: dict[str, list]) -> CharacteristicRecord:
+    """Record k, whose id and grid keys must be grid point k's, exactly."""
+    if k >= len(grid_keys["id"]):
+        raise ValueError(f"record past the grid's last point, id {len(grid_keys['id']) - 1}")
+    for key, column in grid_keys.items():
+        value = _field(obj, key, lambda v: v)
+        if value != column[k]:
+            raise ValueError(f"record {key} {value!r}, expected {column[k]}")
+    return CharacteristicRecord(k, **{name: _field(obj, key, read) for key, (name, _, read) in _RECORD_KEYS.items()})
 
 
 def _header_and_grid(header) -> tuple[dict, SparseGrid]:
@@ -338,7 +345,7 @@ def load_jsonl(path) -> tuple[dict, GridSolution, SparseGrid]:
 
     A line that is not JSON, or lacks a key or holds a malformed value, raises
     SweepError naming the file, the line and the key; so do a header without a
-    problem spec and a record whose id is not its position (record k on line k+2).
+    problem spec and a record that is not grid point k's (record k on line k+2).
     """
     def parse(lineno: int, line: str, build):
         try:
@@ -348,12 +355,10 @@ def load_jsonl(path) -> tuple[dict, GridSolution, SparseGrid]:
 
     with open(path) as fh:
         header, grid = parse(1, fh.readline(), _header_and_grid)
-        records = [parse(lineno, line, _record) for lineno, line in enumerate(fh, start=2)]
+        keys = _grid_keys(grid)
+        records = [parse(k + 2, line, lambda obj, k=k: _record(obj, k, keys)) for k, line in enumerate(fh)]
     if len(records) != len(grid):
-        raise SweepError(f"dataset has {len(records)} records for a {len(grid)}-point grid")
-    for k, rec in enumerate(records):
-        if rec.point_id != k:
-            raise SweepError(f"{path} line {k + 2}: record id {rec.point_id}, expected {k}")
+        raise SweepError(f"{path}: {len(records)} records for a {len(grid)}-point grid")
     return header, GridSolution(header=header, records=records), grid
 
 

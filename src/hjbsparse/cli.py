@@ -34,7 +34,7 @@ from .grid import Box, NodeFamily, build_grid, dense_size, grid_size
 from .interp import fit_hierarchical
 from .mpc import HorizonMode, MpcConfig, check_x0, emit_trajectory, simulate
 from .problems import make_problem, problem_from_spec
-from .util import jsonable, sha256_file
+from .util import json_default, sha256_file
 
 
 def _int(value) -> int:
@@ -91,26 +91,27 @@ def _workers(value) -> int:
     return _read("HJB_WORKERS", env, _positive_int) if env else os.cpu_count() or 1
 
 
+def _lo_hi(axis: str) -> tuple[float, float]:
+    """An axis 'lo:hi'; a field that is not a number, or not exactly two fields, raises ValueError."""
+    lo, hi = (float(v) for v in axis.split(":"))
+    return lo, hi
+
+
 def _parse_domain(text: str, d: int) -> Box:
-    axes = [a for a in text.split(",") if a.strip()]
+    axes = [_read(f"--domain axis {k} 'lo:hi'", axis, _lo_hi) for k, axis in enumerate(text.split(","), start=1)]
     if len(axes) != d:
         raise HjbSparseError(f"--domain needs {d} axes 'lo:hi', got {len(axes)}")
-    lows, highs = [], []
-    for a in axes:
-        lo, hi = a.split(":")
-        lows.append(float(lo))
-        highs.append(float(hi))
-    return Box(tuple(lows), tuple(highs))
+    return Box(*zip(*axes))
 
 
-def _parse_vector(text: str) -> np.ndarray:
-    return np.array([float(v) for v in text.replace(",", " ").split()])
+def _vector(text: str) -> np.ndarray:
+    return np.array([float(v) for v in text.split(",")])
 
 
 class _Run:
     """Collects resolved config, seeds and file digests for the manifest."""
 
-    def __init__(self, argv: list[str], out: str | None):
+    def __init__(self, argv: list[str], out: str):
         self.argv = argv
         self.out = out
         self.config: dict = {}
@@ -123,11 +124,9 @@ class _Run:
         self.inputs[str(path)] = sha256_file(path)
 
     def write_manifest(self):
-        if self.out is None:
-            return
         manifest = {
             "command": self.argv,
-            "config": jsonable(self.config),
+            "config": self.config,
             "version": __version__,
             "seeds": self.seeds,
             "started": self.started,
@@ -135,14 +134,12 @@ class _Run:
             "inputs": self.inputs,
             "outputs": {p: sha256_file(p) for p in [str(self.out), *self.outputs] if Path(p).exists()},
         }
-        path = str(self.out) + ".manifest.json"
-        with open(path, "w") as fh:
-            json.dump(manifest, fh, indent=2)
+        _write_json(str(self.out) + ".manifest.json", manifest)
 
 
 def _write_json(path, payload: dict):
     with open(path, "w") as fh:
-        json.dump(jsonable(payload), fh, indent=2)
+        json.dump(payload, fh, indent=2, default=json_default)
 
 
 def _load_config_file(path) -> dict:
@@ -164,10 +161,15 @@ def _read(name: str, value, convert):
 
 
 def _load_dataset(args, run: _Run):
-    """The dataset's solution and grid, and the problem its header specifies."""
+    """The dataset's solution and grid, and the problem its header specifies, whose n every costate must have."""
     run.add_input(args.dataset)
     _, solution, grid = load_jsonl(args.dataset)
-    return problem_from_spec(solution.header["problem"]), solution, grid
+    problem = problem_from_spec(solution.header["problem"])
+    for r in solution.records:
+        if len(r.lam) != problem.n:
+            raise HjbSparseError(f"{args.dataset} line {r.point_id + 2}: 'lam' has {len(r.lam)} entries, "
+                                 f"expected the problem's n = {problem.n}")
+    return problem, solution, grid
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +235,7 @@ def cmd_fit(args, run: _Run) -> int:
 def cmd_interp(args, run: _Run) -> int:
     problem, solution, grid = _load_dataset(args, run)
     law = fit_feedback(problem, grid, solution)
-    pts = [_parse_vector(a) for a in args.at]
+    pts = [_read("--at", a, _vector) for a in args.at]
     rows = []
     for p, (t, x) in zip(pts, point_args(problem, pts)):
         lam = law.costate_at(t, x)
@@ -282,7 +284,7 @@ def cmd_validate(args, run: _Run) -> int:
 
 def cmd_mpc(args, run: _Run) -> int:
     problem, solution, grid = _load_dataset(args, run)
-    x0 = check_x0(problem, _parse_vector(args.x0))
+    x0 = check_x0(problem, _read("--x0", args.x0, _vector))
     t_max = run.config["tmax"] = problem.horizon if args.tmax is None else args.tmax
     if args.dt is None and not args.hz > 0:
         raise ValueError(f"--hz must be > 0, got {args.hz}")

@@ -1,4 +1,4 @@
-"""Shared helpers: seeded counter-based RNG, central differences, file digests, JSON-safe conversion."""
+"""Shared helpers: seeded counter-based RNG, central differences, file digests, numpy-aware JSON encoding."""
 
 from __future__ import annotations
 
@@ -41,22 +41,14 @@ def sha256_file(path: str | Path) -> str:
     return h.hexdigest()
 
 
-def jsonable(obj):
-    """Recursively convert numpy scalars/arrays so json.dumps emits plain Python types.
+def json_default(obj):
+    """The default= hook of json.dump/json.dumps: a numpy array becomes a list, a numpy scalar its Python value.
 
-    Floats go through float() and are therefore printed by json with the
-    shortest round-trip representation.
+    Anything else raises TypeError, as json itself does.  np.float64 is a float,
+    so json prints it with the shortest round-trip representation directly.
     """
-    if isinstance(obj, dict):
-        return {str(k): jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        return [jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.bool_, bool)):  # before int: a Python bool is an int
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    return obj
+        return obj.tolist()
+    if isinstance(obj, np.generic):
+        return obj.item()
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")

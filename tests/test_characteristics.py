@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -304,6 +306,16 @@ class TestSweep:
             assert np.array_equal(a.lam, b.lam)
             assert a.status == b.status and a.residual == b.residual and a.mesh == b.mesh
             assert (a.newton, a.meshes, a.cont) == (b.newton, b.meshes, b.cont)
+
+    def test_readme_dataset_example_has_the_written_keys(self, ex3, tmp_path):
+        """README's example header and record carry exactly the keys sweep and record_lines write, in order."""
+        grid = build_grid(NodeFamily.CGL, 4, 4, ex3.domain)
+        path = tmp_path / "ds.jsonl"
+        sweep(ex3, grid, tol=1e-8, workers=1).save_jsonl(path, grid)
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        example = readme.split("### Dataset format")[1].split("```")[1].strip().splitlines()
+        for documented, written in zip(example, path.read_text().splitlines(), strict=True):
+            assert list(json.loads(documented.replace("...", "null"))) == list(json.loads(written))
 
     def test_causality_freedom_bit_identical_resolve(self, ex3):
         grid = build_grid(NodeFamily.CGL, 4, 6, ex3.domain)

@@ -128,6 +128,14 @@ class TestGridCommand:
         assert code == 1 and not out.exists()
         assert "not finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("domain", ["0:1,0:1:2", "0:1,0", "0:1,,0:1"])
+    def test_domain_axis_that_is_not_lo_hi_exits_one(self, domain, tmp_path, capsys):
+        out = tmp_path / "g.json"
+        code = main(["grid", "--d", "2", "--q", "3", "--domain", domain, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1 and not out.exists()
+        assert "--domain axis 2 'lo:hi': cannot read" in err and "Traceback" not in err
+
     def test_published_count_printed_and_written(self, tmp_path, capsys):
         out_path = tmp_path / "grid.json"
         csv_path = tmp_path / "points.csv"
@@ -196,6 +204,11 @@ class TestPipeline:
         assert code == 1
         assert "expected points with 4 coordinates" in capsys.readouterr().err
 
+    def test_interp_names_the_flag_of_a_field_that_is_not_a_number(self, ds_path, tmp_path, capsys):
+        code = main(["interp", "--dataset", str(ds_path), "--at", "2.5,a,0,1", "--out", str(tmp_path / "i.json")])
+        assert code == 1
+        assert "--at: cannot read '2.5,a,0,1' (could not convert string to float: 'a')" in capsys.readouterr().err
+
     def test_interp_refuses_a_nan_point(self, ds_path, tmp_path, capsys):
         code = main(["interp", "--dataset", str(ds_path), "--at", "nan,0,0,0", "--out", str(tmp_path / "i.json")])
         assert code == 1
@@ -249,6 +262,12 @@ class TestPipeline:
         assert code == 1
         assert "noise magnitude must be finite" in capsys.readouterr().err
 
+    def test_mpc_refuses_an_empty_x0_field(self, ds_path, tmp_path, capsys):
+        out = tmp_path / "traj.csv"
+        code = main(["mpc", "--dataset", str(ds_path), "--x0", "1,,1,1", "--tmax", "0.2", "--out", str(out)])
+        assert code == 1 and not out.exists()
+        assert "--x0: cannot read '1,,1,1'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag", ["--hz", "--dt"])
     def test_mpc_rejects_zero_sample_period(self, flag, ds_path, tmp_path, capsys):
         code = main(["mpc", "--dataset", str(ds_path), "--x0", "0.5,0.5,0.5", flag, "0",
@@ -294,6 +313,55 @@ class TestPipeline:
         code = main(["fit", "--dataset", str(bad), "--out", str(tmp_path / "fit.json")])
         assert code == 1
         assert "line 4: record id 6, expected 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, message", [
+        ({"family": "modified"}, "line 11: record x [2.5, 0.0, 0.0, -1.414213562373095], expected"),
+        ({"domain": [[0.0, 5.0], [-2.0, 2.0], [-2.0, 2.0], [-1.9, 2.0]]},
+         "line 2: record x [2.5, 0.0, 0.0, 0.0], expected"),
+    ])
+    def test_header_that_rebuilds_another_grid_is_refused(self, edit, message, ds_path, tmp_path, capsys):
+        lines = ds_path.read_text().splitlines()
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join([json.dumps({**json.loads(lines[0]), **edit}), *lines[1:]]) + "\n")
+        code = main(["fit", "--dataset", str(bad), "--out", str(tmp_path / "fit.json")])
+        assert code == 1
+        assert message in capsys.readouterr().err
+
+    def test_record_off_its_grid_point_is_refused(self, ds_path, tmp_path, capsys):
+        lines = ds_path.read_text().splitlines()
+        rec = json.loads(lines[10])
+        rec["x"][1] += 1e-12
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join([*lines[:10], json.dumps(rec), *lines[11:]]) + "\n")
+        code = main(["fit", "--dataset", str(bad), "--out", str(tmp_path / "fit.json")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "line 11: record x [2.5, 1e-12, 0.0, -1.414213562373095], expected [2.5, 0.0," in err
+
+    def test_record_past_the_last_grid_point_is_refused(self, ds_path, tmp_path, capsys):
+        lines = ds_path.read_text().splitlines()
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join([*lines, lines[-1]]) + "\n")
+        code = main(["fit", "--dataset", str(bad), "--out", str(tmp_path / "fit.json")])
+        assert code == 1
+        assert "line 43: record past the grid's last point, id 40" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, cut, line", [
+        (["fit"], slice(None), 2),
+        (["interp", "--at", "2.5,0,0,1"], slice(None), 2),
+        (["fit"], slice(4, 5), 6),
+    ])
+    def test_costates_of_the_wrong_length_are_refused(self, command, cut, line, ds_path, tmp_path, capsys):
+        lines = ds_path.read_text().splitlines()
+        records = [json.loads(rec) for rec in lines[1:]]
+        for rec in records[cut]:
+            rec["lam"] = rec["lam"][:2]
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join([lines[0], *map(json.dumps, records)]) + "\n")
+        code = main([command[0], "--dataset", str(bad), *command[1:], "--out", str(tmp_path / "o.json")])
+        err = capsys.readouterr().err
+        assert code == 1 and "Traceback" not in err
+        assert f"line {line}: 'lam' has 2 entries, expected the problem's n = 3" in err
 
     def test_header_without_problem_spec_is_refused(self, ds_path, tmp_path, capsys):
         lines = ds_path.read_text().splitlines()
