@@ -129,6 +129,20 @@ class BvpSolution:
             out += h * _B[j](theta) * self.stage_f[:, j, k]
         return out[:, 0] if np.ndim(s) == 0 else out
 
+    def integrate(self, g) -> float:
+        """Lobatto quadrature of g(s, y(s)) over the mesh: sum_k h_k sum_j a_4j g(s_kj, y(s_kj)).
+
+        g is vectorized like BvpProblem.rhs, g(s: (P,), y: (M, P)) -> (P,).  The
+        stage values y(s_kj) come from interval k's collocation polynomial, so
+        for g = rhs component m this is the collocation equations' own
+        quadrature: y_m(b) - y_m(a) at a converged solution.
+        """
+        h = np.diff(self.mesh)
+        s = self.mesh[:-1] + _C[:, None] * h                                        # (4, K)
+        y = self.y[:, None, :-1] + h * np.einsum("ji,mik->mjk", _A, self.stage_f)    # (M, 4, K)
+        g_stage = np.asarray(g(s.ravel(), y.reshape(len(y), -1)), dtype=float).reshape(4, -1)
+        return float(h @ (_A[3] @ g_stage))
+
 
 def _stage_abscissae(mesh: np.ndarray) -> np.ndarray:
     """All collocation points; stage 4 of interval k is stage 1 of interval k+1."""

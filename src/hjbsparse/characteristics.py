@@ -1,13 +1,14 @@
 """Per-point characteristic BVPs, the causality-free sweep, and sweep datasets.
 
 For a control problem with state dimension n the characteristic system couples
-state, costate and accumulated cost into a first-order system of size 2n+1:
+state and costate into a first-order system of size 2n:
 
-    x' = f(s, x, u*),   lam' = -H_x(s, x, lam, u*)^T,   z' = L(s, x, u*),
+    x' = f(s, x, u*),   lam' = -H_x(s, x, lam, u*)^T,
 
-with boundary conditions x(t0) = x0, lam(T) = h_x(x(T))^T, z(t0) = 0, where
+with boundary conditions x(t0) = x0 and lam(T) = h_x(x(T))^T, where
 u* = u_star(s, x, lam) is substituted everywhere.  The value and costate at
-(t0, x0) are V = z(T) + h(x(T)) and lam(t0).
+(t0, x0) are V = h(x(T)) + integral of L(s, x, u*) over [t0, T], taken by the
+collocation's own Lobatto quadrature (BvpSolution.integrate), and lam(t0).
 
 Every grid point is solved independently from the same cold start (no
 neighbor warm-starting), so re-solving any subset reproduces its records
@@ -26,10 +27,10 @@ import numpy as np
 
 from . import __version__
 from .bvp import BvpProblem, BvpSolution, BvpStatus, solve as bvp_solve
-from .exceptions import FitError, InfeasibleTargetError, SweepError, TargetSolveError
+from .exceptions import FitError, GridSpecError, InfeasibleTargetError, SweepError, TargetSolveError
 from .grid import Box, NodeFamily, SparseGrid, build_grid
 from .interp import Interpolant, fit_hierarchical
-from .util import central_difference, json_default
+from .util import json_default
 
 _DEGENERATE_HORIZON = 1e-13
 _MAX_SWEEP_FAILURES = 0.01         # failed share of grid points that aborts a sweep
@@ -40,10 +41,10 @@ _TARGET_FAILURES = {InfeasibleTargetError: "InfeasibleTarget", TargetSolveError:
 class ControlProblem:
     """Base class for finite-horizon problems whose Hamiltonian has its argmin u* in closed form.
 
-    Subclasses define f, L, h, h_x and u_star; everything is vectorized over a
-    trailing point axis (x: (n, P), u: (m, P), t scalar or (P,)).  H_x falls
-    back to central finite differences of the Hamiltonian at fixed u unless a
-    subclass provides the closed form.
+    Subclasses define f, L, h, h_x, u_star and H_x, the gradient in x of the
+    Hamiltonian L + lam . f at fixed u, all in closed form: H_x is required, as
+    f and L are.  Everything is vectorized over a trailing point axis
+    (x: (n, P), u: (m, P), t scalar or (P,)).
     """
 
     name: str = "problem"
@@ -71,18 +72,15 @@ class ControlProblem:
     def u_star(self, t, x: np.ndarray, lam: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def H_x(self, t, x: np.ndarray, lam: np.ndarray, u: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
     def specialize(self, t0: float, x0: np.ndarray) -> "ControlProblem":
         """Per-point frozen variant (e.g. a fixed target attitude) that a further
         specialize returns unchanged; default self."""
         return self
 
     # -- derived -----------------------------------------------------------
-    def H(self, t, x: np.ndarray, lam: np.ndarray, u: np.ndarray) -> np.ndarray:
-        return self.L(t, x, u) + np.einsum("ip,ip->p", lam, self.f(t, x, u))
-
-    def H_x(self, t, x: np.ndarray, lam: np.ndarray, u: np.ndarray) -> np.ndarray:
-        return central_difference(lambda xs: self.H(t, xs, lam, u), x, 6e-6 * np.maximum(1.0, np.abs(x)))
-
     @property
     def state_box(self) -> Box:
         """The state-space part of the domain (time axis stripped)."""
@@ -104,32 +102,27 @@ def _cols(x):
 
 
 def assemble_bvp(problem: ControlProblem, t0: float, x0: np.ndarray, tol: float) -> BvpProblem:
-    """Characteristic two-point BVP of dimension 2n+1 at one grid point.
+    """Characteristic two-point BVP of dimension 2n at one grid point: y = (x, lam).
 
-    Cold start: x(s) = x0, lam(s) = h_x(x0)^T, z = 0 on an 11-node uniform mesh.
+    Cold start: x(s) = x0, lam(s) = h_x(x0)^T on an 11-node uniform mesh.
     """
     x0 = np.asarray(x0, dtype=float)
     n = problem.n
     prob = problem.specialize(t0, x0)
-    lam_guess = np.asarray(prob.h_x(x0), dtype=float)
+    y_guess = np.concatenate([x0, prob.h_x(x0)])[:, None]
 
     def rhs(s, y):
-        x, lam = y[:n], y[n : 2 * n]
+        x, lam = y[:n], y[n:]
         u = prob.u_star(s, x, lam)
-        return np.vstack([prob.f(s, x, u), -prob.H_x(s, x, lam, u), prob.L(s, x, u)[None, :]])
+        return np.vstack([prob.f(s, x, u), -prob.H_x(s, x, lam, u)])
 
     def bc(ya, yb):
-        return np.concatenate([ya[:n] - x0, yb[n : 2 * n] - prob.h_x(yb[:n]), [ya[2 * n]]])
+        return np.concatenate([ya[:n] - x0, yb[n:] - prob.h_x(yb[:n])])
 
     def guess(s):
-        P = len(s)
-        return np.vstack([
-            np.repeat(x0[:, None], P, axis=1),
-            np.repeat(lam_guess[:, None], P, axis=1),
-            np.zeros((1, P)),
-        ])
+        return np.repeat(y_guess, len(s), axis=1)
 
-    return BvpProblem(ndim=2 * n + 1, rhs=rhs, bc=bc, interval=(t0, problem.horizon), tol=tol, guess=guess)
+    return BvpProblem(ndim=2 * n, rhs=rhs, bc=bc, interval=(t0, problem.horizon), tol=tol, guess=guess)
 
 
 @dataclass
@@ -202,9 +195,9 @@ def solve_point(problem: ControlProblem, t0: float, x0: np.ndarray, tol: float,
             break
     cont = stages > 1
     if sol.status is BvpStatus.CONVERGED:
-        x_T = sol.y[:n, -1]
-        V = float(sol.y[2 * n, -1] + prob.h(x_T))
-        lam0 = sol.y[n : 2 * n, 0].copy()
+        cost = sol.integrate(lambda s, y: prob.L(s, y[:n], prob.u_star(s, y[:n], y[n:])))
+        V = float(prob.h(sol.y[:n, -1]) + cost)
+        lam0 = sol.y[n:, 0].copy()
     else:
         V = float("nan")
         lam0 = np.full(n, np.nan)
@@ -345,12 +338,13 @@ def load_jsonl(path) -> tuple[dict, GridSolution, SparseGrid]:
 
     A line that is not JSON, or lacks a key or holds a malformed value, raises
     SweepError naming the file, the line and the key; so do a header without a
-    problem spec and a record that is not grid point k's (record k on line k+2).
+    problem spec or with grid parameters build_grid refuses, and a record that
+    is not grid point k's (record k on line k+2).
     """
     def parse(lineno: int, line: str, build):
         try:
             return build(json.loads(line))
-        except ValueError as exc:
+        except (GridSpecError, ValueError) as exc:
             raise SweepError(f"{path} line {lineno}: {exc}") from exc
 
     with open(path) as fh:

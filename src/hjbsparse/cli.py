@@ -161,10 +161,14 @@ def _read(name: str, value, convert):
 
 
 def _load_dataset(args, run: _Run):
-    """The dataset's solution and grid, and the problem its header specifies, whose n every costate must have."""
+    """The dataset's solution and grid, and the problem its header specifies, whose domain must be the grid's
+    and whose n every costate must have."""
     run.add_input(args.dataset)
     _, solution, grid = load_jsonl(args.dataset)
     problem = problem_from_spec(solution.header["problem"])
+    if problem.domain.as_json() != grid.domain.as_json():
+        raise HjbSparseError(f"{args.dataset} line 1: the problem's domain {problem.domain.as_json()} "
+                             f"is not the grid's {grid.domain.as_json()}")
     for r in solution.records:
         if len(r.lam) != problem.n:
             raise HjbSparseError(f"{args.dataset} line {r.point_id + 2}: 'lam' has {len(r.lam)} entries, "

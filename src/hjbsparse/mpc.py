@@ -156,12 +156,3 @@ def emit_trajectory(trajectory: Trajectory, path, problem: ControlProblem) -> No
             row = [trajectory.times[i], *trajectory.states[i], *trajectory.controls[i],
                    trajectory.accumulated_cost[i]]
             writer.writerow([repr(float(v)) for v in row])
-
-
-def read_trajectory(path) -> tuple[list[str], np.ndarray]:
-    """Parse an emitted CSV back into (header, data matrix)."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        data = np.array([[float(v) for v in row] for row in reader])
-    return header, data

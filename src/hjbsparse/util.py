@@ -1,4 +1,4 @@
-"""Shared helpers: seeded counter-based RNG, central differences, file digests, numpy-aware JSON encoding."""
+"""Shared helpers: seeded counter-based RNG, file digests, numpy-aware JSON encoding."""
 
 from __future__ import annotations
 
@@ -13,21 +13,6 @@ RNG_NAME = "philox4x64"
 def make_rng(seed: int) -> np.random.Generator:
     """Counter-based 64-bit generator; every stochastic routine takes an explicit seed."""
     return np.random.Generator(np.random.Philox(key=int(seed)))
-
-
-def central_difference(fn, x: np.ndarray, step) -> np.ndarray:
-    """out[i] = (fn(x + step_i e_i) - fn(x - step_i e_i)) / (2 step_i) for each leading index i of x.
-
-    step is a scalar or indexable per i (step[i] broadcasts against x[i]).
-    """
-    rows = []
-    for i in range(len(x)):
-        h = step[i] if np.ndim(step) else step
-        xp, xm = x.copy(), x.copy()
-        xp[i] += h
-        xm[i] -= h
-        rows.append((fn(xp) - fn(xm)) / (2.0 * h))
-    return np.array(rows)
 
 
 def sha256_file(path: str | Path) -> str:

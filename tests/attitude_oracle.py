@@ -11,10 +11,10 @@ problems.optimal_attitude.
 import itertools
 
 import numpy as np
+from hamiltonian_oracle import central_difference
 from scipy.optimize import minimize
 
 from hjbsparse.problems import _rotation_cols, conserved_quantity, null_direction
-from hjbsparse.util import central_difference
 
 
 def rotation(v: np.ndarray) -> np.ndarray:

@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hamiltonian_oracle import hamiltonian
+from scipy.integrate import quad
 
 import hjbsparse.characteristics as chmod
 import hjbsparse.problems as problems
@@ -50,6 +52,9 @@ class ToyLqr(ControlProblem):
     def u_star(self, t, x, lam):
         return -lam
 
+    def H_x(self, t, x, lam, u):
+        return np.zeros_like(x)
+
     @staticmethod
     def value(t, x):
         return x**2 / (2.0 * (1.0 + 1.0 - t))
@@ -82,41 +87,53 @@ class PureDecay(ControlProblem):
     def u_star(self, t, x, lam):
         return np.zeros((1, x.shape[1]))
 
+    def H_x(self, t, x, lam, u):
+        return -lam
+
+
+def test_H_x_has_no_default():
+    # a problem supplies its closed form; the finite-difference H_x is a test oracle only
+    x = np.zeros((1, 1))
+    with pytest.raises(NotImplementedError):
+        ControlProblem().H_x(0.0, x, x, x)
+
 
 class TestAssembleBvp:
     def test_dimension_and_boundary_structure(self, ex3):
         x0 = np.array([0.5, -0.3, 1.0])
         bp = assemble_bvp(ex3, 0.0, x0, tol=1e-8)
-        assert bp.ndim == 2 * 3 + 1
-        ya = np.concatenate([x0, [0.1, 0.2, 0.3], [0.0]])
-        yb = np.concatenate([[1.0, 2.0, 3.0], [0.4, 0.5, 0.6], [7.0]])
+        assert bp.ndim == 2 * 3
+        ya = np.concatenate([x0, [0.1, 0.2, 0.3]])
+        yb = np.concatenate([[1.0, 2.0, 3.0], [0.4, 0.5, 0.6]])
         res = bp.bc(ya, yb)
+        assert res.shape == (6,)
         assert np.abs(res[:3]).max() == 0.0          # x(t0) - x0
         # terminal cost is zero, so the costate condition is lam(T) = 0
         assert np.array_equal(res[3:6], yb[3:6])
-        assert res[6] == 0.0                          # z(t0)
 
     def test_rhs_matches_explicit_dynamics(self, ex3):
         x0 = np.array([0.2, 0.4, -1.0])
         bp = assemble_bvp(ex3, 0.0, x0, tol=1e-8)
         s = np.array([0.7, 1.3])
-        y = np.vstack([np.tile(x0[:, None], 2) + 0.05, np.full((3, 2), 0.2), np.zeros((1, 2))])
+        y = np.vstack([np.tile(x0[:, None], 2) + 0.05, np.full((3, 2), 0.2)])
         got = bp.rhs(s, y)
         x, lam = y[:3], y[3:6]
         u = ex3.u_star(s, x, lam)
+        assert got.shape == (6, 2)
         assert np.allclose(got[:3], ex3.f(s, x, u), atol=1e-14)
         assert np.allclose(got[:3][0], -x[0] + x[1], atol=1e-14)
-        assert np.allclose(got[6], ex3.L(s, x, u), atol=1e-14)
+        assert np.allclose(got[3:], -ex3.H_x(s, x, lam, u), atol=1e-14)
 
     def test_pure_terminal_cost_value(self):
-        # L = 0: z stays zero and V = h(x(T))
+        # L = 0: the running cost integrates to zero and V = h(x(T))
         p = PureDecay()
         rec = solve_point(p, 0.0, np.array([0.8]), tol=1e-10)
         sol = bvp_solve(assemble_bvp(p, 0.0, np.array([0.8]), tol=1e-10))
         assert rec.converged
         x_T = 0.8 * math.exp(-p.horizon)
         assert rec.V == pytest.approx(x_T**2, rel=1e-8)
-        assert abs(sol.y[2, -1]) < 1e-12  # accumulated cost stays zero
+        assert sol.integrate(lambda s, y: p.L(s, y[:1], p.u_star(s, y[:1], y[1:]))) == 0.0
+        assert rec.V == p.h(sol.y[:1, -1])
 
     def test_toy_lqr_value_and_costate(self):
         p = ToyLqr()
@@ -163,7 +180,9 @@ class TestSolvePoint:
         # the record equals the one built from the unspecialized problem and a second target solve
         sol = bvp_solve(assemble_bvp(p2, 0.0, x0, tol=1e-8))
         assert sol.status is BvpStatus.CONVERGED
-        assert rec.V == float(sol.y[12, -1] + p2.specialize(0.0, x0).h(sol.y[:6, -1]))
+        frozen = p2.specialize(0.0, x0)
+        cost = sol.integrate(lambda s, y: frozen.L(s, y[:6], frozen.u_star(s, y[:6], y[6:])))
+        assert rec.V == float(frozen.h(sol.y[:6, -1]) + cost)
         assert np.array_equal(rec.lam, sol.y[6:12, 0])
         assert (rec.residual, rec.mesh) == (sol.est_residual, sol.n_nodes)
 
@@ -215,18 +234,24 @@ class TestSolvePoint:
 
     def test_value_consistency_along_characteristic(self, ex3):
         # dynamic programming along the characteristic: re-solving from a
-        # midpoint reproduces z(T) + h - z(t_mid)
+        # midpoint reproduces V(t0) minus the running cost up to t_mid, which
+        # quad integrates along the collocation polynomial
         t0, x0 = 1.0, np.array([0.8, -0.5, 1.2])
         tol = 1e-9
         rec = solve_point(ex3, t0, x0, tol=tol)
         sol = bvp_solve(assemble_bvp(ex3, t0, x0, tol))
         assert rec.converged and not rec.cont
         t_mid = 2.5
-        y_mid = sol.interpolate(t_mid)
-        x_mid, z_mid = y_mid[:3], y_mid[6]
-        rec_mid = solve_point(ex3, t_mid, x_mid, tol=tol)
+
+        def running_cost(s):
+            y = sol.interpolate([s])
+            return float(ex3.L(s, y[:3], ex3.u_star(s, y[:3], y[3:]))[0])
+
+        inner = sol.mesh[(sol.mesh > t0) & (sol.mesh < t_mid)]
+        cost_mid = quad(running_cost, t0, t_mid, points=inner, limit=4 * len(sol.mesh), epsabs=1e-13)[0]
+        rec_mid = solve_point(ex3, t_mid, sol.interpolate(t_mid)[:3], tol=tol)
         assert rec_mid.converged
-        assert rec_mid.V == pytest.approx(rec.V - z_mid, abs=10 * tol)
+        assert rec_mid.V == pytest.approx(rec.V - cost_mid, abs=10 * tol)
 
     def test_hamiltonian_stationarity_along_trajectory(self, ex3):
         sol = bvp_solve(assemble_bvp(ex3, 0.0, np.array([0.6, 0.2, -1.1]), tol=1e-9))
@@ -236,7 +261,7 @@ class TestSolvePoint:
         x, lam = y[:3], y[3:6]
         u0 = ex3.u_star(times, x, lam)
         eps = 1e-7
-        dh = (ex3.H(times, x, lam, u0 + eps) - ex3.H(times, x, lam, u0 - eps)) / (2 * eps)
+        dh = (hamiltonian(ex3, times, x, lam, u0 + eps) - hamiltonian(ex3, times, x, lam, u0 - eps)) / (2 * eps)
         assert np.abs(dh).max() <= 1e-5
 
 

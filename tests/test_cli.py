@@ -5,11 +5,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from trajectory_csv import read_trajectory
 
 from hjbsparse.bvp import BvpStatus
 from hjbsparse.characteristics import solve_point
 from hjbsparse.cli import _workers, build_parser, main
-from hjbsparse.mpc import read_trajectory
 from hjbsparse.problems import make_example1, make_example2, null_direction, optimal_attitude
 
 
@@ -318,6 +318,9 @@ class TestPipeline:
         ({"family": "modified"}, "line 11: record x [2.5, 0.0, 0.0, -1.414213562373095], expected"),
         ({"domain": [[0.0, 5.0], [-2.0, 2.0], [-2.0, 2.0], [-1.9, 2.0]]},
          "line 2: record x [2.5, 0.0, 0.0, 0.0], expected"),
+        ({"family": "foo"}, "bad.jsonl line 1: unknown node family 'foo'"),
+        ({"q": 3}, "bad.jsonl line 1: depth q=3 must be >= dimension d=4"),
+        ({"domain": [[0.0, 5.0], [-2.0, 2.0], [-2.0, 2.0]]}, "bad.jsonl line 1: domain has 3 axes, expected 4"),
     ])
     def test_header_that_rebuilds_another_grid_is_refused(self, edit, message, ds_path, tmp_path, capsys):
         lines = ds_path.read_text().splitlines()
@@ -415,6 +418,17 @@ class TestProblemConfig:
         for sample in json.loads(out.read_text())["samples"]:
             rec = solve_point(overridden, 0.0, np.array(sample["x"]), tol=1e-8)
             assert sample["oracle"] == pytest.approx(rec.V, rel=1e-9, abs=1e-12)
+
+    def test_problem_domain_other_than_the_grid_domain_is_refused(self, tmp_path, capsys):
+        code, ds = self.sweep(tmp_path, "--problem", "example1")
+        assert code == 0
+        lines = ds.read_text().splitlines()
+        header = json.loads(lines[0])
+        header["problem"]["params"]["domain"] = [[lo / 2, hi / 2] for lo, hi in header["domain"]]
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n")
+        assert main(["fit", "--dataset", str(bad), "--out", str(tmp_path / "fit.json")]) == 1
+        assert f"error: {bad} line 1: the problem's domain" in capsys.readouterr().err
 
     def test_interp_refuses_a_point_with_too_few_coordinates(self, tmp_path, capsys):
         code, ds = self.sweep(tmp_path, "--problem", "example1")

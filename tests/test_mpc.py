@@ -2,6 +2,8 @@ import filecmp
 
 import numpy as np
 import pytest
+from example3_oracle import example3_control
+from trajectory_csv import read_trajectory
 
 from hjbsparse import problems
 from hjbsparse.errors import validate
@@ -10,10 +12,9 @@ from hjbsparse.mpc import (
     MpcConfig,
     Trajectory,
     emit_trajectory,
-    read_trajectory,
     simulate,
 )
-from hjbsparse.problems import example3_control, make_example2
+from hjbsparse.problems import make_example2
 
 
 def ex3_config(**kw):
