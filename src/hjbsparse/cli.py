@@ -165,7 +165,10 @@ def _load_dataset(args, run: _Run):
     and whose n every costate must have."""
     run.add_input(args.dataset)
     _, solution, grid = load_jsonl(args.dataset)
-    problem = problem_from_spec(solution.header["problem"])
+    try:
+        problem = problem_from_spec(solution.header["problem"])
+    except ValueError as exc:
+        raise HjbSparseError(f"{args.dataset} line 1: {exc}") from exc
     if problem.domain.as_json() != grid.domain.as_json():
         raise HjbSparseError(f"{args.dataset} line 1: the problem's domain {problem.domain.as_json()} "
                              f"is not the grid's {grid.domain.as_json()}")

@@ -6,7 +6,8 @@ a^i1_j1(x_1) * ... * a^id_jd(x_d).  The grid owns the layout: every axis
 reads the 1-D table of the delta nodes of levels 1..q-d+1 side by side
 (``grid.table_nodes``), and ``SparseGrid.cols`` holds each point's column in
 it.  One kernel evaluates the interpolant.  For a block of query rows it
-evaluates, per axis, the basis of every table column, gathers the grid's
+evaluates the basis of every table column at every coordinate of the block
+in one pass (``_delta_table`` on all d axes stacked), gathers the grid's
 columns, multiplies the gathered columns across the axes and takes one
 product with the surpluses.
 
@@ -21,7 +22,8 @@ polynomial; the test suite keeps it as the reference for the fit.
 
 The piecewise-linear families use hat functions; the CGL family uses Lagrange
 polynomials over X^i evaluated in barycentric form with the analytically known
-Chebyshev-Lobatto weights.
+Chebyshev-Lobatto weights (Berrut & Trefethen, "Barycentric Lagrange
+interpolation", SIAM Review 46, 2004), every level's formula at once.
 """
 
 from __future__ import annotations
@@ -34,13 +36,14 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .exceptions import FitError, GridSpecError, OutOfDomainError
-from .grid import NodeFamily, SparseGrid, delta_positions, nodes_1d, table_nodes
+from .grid import NodeFamily, SparseGrid, delta_count, delta_positions, nodes_1d, table_nodes
 
 _NODE_HIT = 1e-14
 # Entries (query rows x grid points) per block of the evaluation kernel.  A
-# larger budget buys little speed and costs resident memory: fitting and
-# querying 1,000 points on CGL d=6 q=10 peaks at 81 MB with 2**16 and at
-# 99 MB with 2**20.
+# larger budget buys no speed and costs resident memory: fitting and
+# querying 1,000 points on CGL d=6 q=10 (single-threaded BLAS) peaks at
+# 66 MB with 2**16 and at 81 MB with 2**20, and the query takes 10 ms
+# against 23 ms.
 _CHUNK = 2**16
 _LEBESGUE_SAMPLES = 4096           # Lebesgue function samples per node interval
 
@@ -82,11 +85,6 @@ def x_basis_matrix(family: NodeFamily, i: int, x: np.ndarray) -> np.ndarray:
     halfwidth = 1.0 / 2 ** (i - 1)
     out = 1.0 - np.abs(x[:, None] - nodes[None, :]) / halfwidth
     return np.maximum(out, 0.0)
-
-
-def delta_basis_matrix(family: NodeFamily, i: int, x: np.ndarray) -> np.ndarray:
-    """Basis functions of the new nodes DX^i, columns in ascending node order."""
-    return x_basis_matrix(family, i, x)[:, delta_positions(family, i) - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -164,9 +162,61 @@ def _unwrap(out: np.ndarray, single: bool) -> np.ndarray | float:
     return float(out) if np.ndim(out) == 0 else out
 
 
+def _column_levels(family: NodeFamily, ref_level: int) -> np.ndarray:
+    """Level - 1 of every table_nodes column."""
+    counts = [delta_count(family, lvl) for lvl in range(1, ref_level + 1)]
+    return np.repeat(np.arange(ref_level), counts)
+
+
+@lru_cache(maxsize=None)
+def _barycentric_layout(ref_level: int) -> tuple[np.ndarray, ...]:
+    """The CGL table's read-only layout: the nodes of X^1..X^ref_level side by side, their
+    barycentric weights, each level's start in that array, and per table column its index
+    there and its level - 1."""
+    sets = [nodes_1d(NodeFamily.CGL, lvl) for lvl in range(1, ref_level + 1)]
+    starts = np.cumsum([0] + [len(s) for s in sets[:-1]])
+    select = np.concatenate([starts[lvl - 1] + delta_positions(NodeFamily.CGL, lvl) - 1
+                             for lvl in range(1, ref_level + 1)])
+    layout = (np.concatenate(sets), np.concatenate([_cgl_bary_weights(len(s)) for s in sets]),
+              starts, select, _column_levels(NodeFamily.CGL, ref_level))
+    for a in layout:
+        a.setflags(write=False)
+    return layout
+
+
+@lru_cache(maxsize=None)
+def _hat_slopes(family: NodeFamily, ref_level: int) -> np.ndarray:
+    """Per table column, the slope 2^(level-1) of its hat; 0 for the modified family's constant level 1."""
+    slopes = 2.0 ** _column_levels(family, ref_level)
+    if family is NodeFamily.MODIFIED:
+        slopes[0] = 0.0
+    slopes.setflags(write=False)
+    return slopes
+
+
 def _delta_table(family: NodeFamily, ref_level: int, x: np.ndarray) -> np.ndarray:
-    """The basis of every table_nodes column at x; shape (len(x), N_ref_level)."""
-    return np.hstack([delta_basis_matrix(family, lvl, x) for lvl in range(1, ref_level + 1)])
+    """The basis of every table_nodes column at x (1-D); shape (len(x), N_ref_level).
+
+    One pass over every column of every level.  A hat column is
+    max(0, 1 - slope |x - node|).  A CGL column of level l is the barycentric
+    formula over X^l: t_k = w_k / (x - x_k) over the nodes of every level
+    side by side, each level's t summed with one reduceat, and the column's
+    t divided by its level's sum.  Where x is within _NODE_HIT of a node of
+    level l, level l's columns are the indicator of that node instead.
+    """
+    if family is not NodeFamily.CGL:
+        distance = np.abs(x[:, None] - table_nodes(family, ref_level))
+        return np.maximum(1.0 - distance * _hat_slopes(family, ref_level), 0.0)
+    nodes, weights, starts, select, level = _barycentric_layout(ref_level)
+    diff = x[:, None] - nodes
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = weights / diff
+        out = t[:, select] / np.add.reduceat(t, starts, axis=1)[:, level]
+    hit = np.abs(diff) < _NODE_HIT
+    if hit.any():
+        on_node = np.logical_or.reduceat(hit, starts, axis=1)[:, level]
+        out[on_node] = hit[:, select][on_node]
+    return out
 
 
 def _eval_surpluses(grid: SparseGrid, surpluses: np.ndarray, pts: np.ndarray) -> np.ndarray:
@@ -178,9 +228,11 @@ def _eval_surpluses(grid: SparseGrid, surpluses: np.ndarray, pts: np.ndarray) ->
     rows = max(16, _CHUNK // n)
     for lo in range(0, pts.shape[0], rows):
         block = pts[lo : lo + rows]
-        prod = _delta_table(grid.family, R, block[:, 0])[:, cols[:, 0]]
+        # one table for every axis at once: row k * len(block) + r is axis k of query r
+        table = _delta_table(grid.family, R, block.T.ravel()).reshape(grid.d, len(block), -1)
+        prod = table[0][:, cols[:, 0]]
         for k in range(1, grid.d):
-            prod *= _delta_table(grid.family, R, block[:, k])[:, cols[:, k]]
+            prod *= table[k][:, cols[:, k]]
         out[lo : lo + rows] = prod @ surpluses
     return out
 

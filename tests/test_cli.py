@@ -430,6 +430,17 @@ class TestProblemConfig:
         assert main(["fit", "--dataset", str(bad), "--out", str(tmp_path / "fit.json")]) == 1
         assert f"error: {bad} line 1: the problem's domain" in capsys.readouterr().err
 
+    def test_malformed_problem_param_in_the_header_names_the_file_and_line(self, tmp_path, capsys):
+        code, ds = self.sweep(tmp_path, "--problem", "example1")
+        assert code == 0
+        lines = ds.read_text().splitlines()
+        header = json.loads(lines[0])
+        header["problem"]["params"]["T"] = "long"
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n")
+        assert main(["fit", "--dataset", str(bad), "--out", str(tmp_path / "fit.json")]) == 1
+        assert f"error: {bad} line 1: malformed problem param T='long'" in capsys.readouterr().err
+
     def test_interp_refuses_a_point_with_too_few_coordinates(self, tmp_path, capsys):
         code, ds = self.sweep(tmp_path, "--problem", "example1")
         assert code == 0

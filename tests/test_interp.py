@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
 from combination_oracle import eval_combination
+from scipy.linalg import solve_triangular
 
 from hjbsparse.exceptions import FitError, OutOfDomainError
-from hjbsparse.grid import NodeFamily, build_grid, delta_positions, nodes_1d
+from hjbsparse.grid import NodeFamily, build_grid, delta_count, delta_positions, nodes_1d, table_nodes
 from hjbsparse.interp import (
-    delta_basis_matrix,
+    _NODE_HIT,
+    _delta_table,
+    _hierarchize,
+    _poles,
     fit_hierarchical,
     lebesgue_bound,
     lebesgue_constant,
@@ -13,20 +17,36 @@ from hjbsparse.interp import (
 )
 
 FAMILIES = list(NodeFamily)
+REF_LEVELS = range(1, 10)
+
+
+def delta_basis_matrix(family: NodeFamily, i: int, x) -> np.ndarray:
+    """Basis functions of the new nodes DX^i, columns in ascending node order."""
+    return x_basis_matrix(family, i, x)[:, delta_positions(family, i) - 1]
+
+
+def reference_table(family: NodeFamily, ref_level: int, x: np.ndarray) -> np.ndarray:
+    """The 1-D table built level by level: the reference for interp._delta_table."""
+    return np.hstack([delta_basis_matrix(family, lvl, x) for lvl in range(1, ref_level + 1)])
+
+
+def column_levels(family: NodeFamily, ref_level: int) -> np.ndarray:
+    """The level of every table_nodes column."""
+    return np.repeat(np.arange(1, ref_level + 1), [delta_count(family, lvl) for lvl in range(1, ref_level + 1)])
 
 
 class TestBasis:
     def test_classic_level1_published_labels(self):
         # published a^1_1 = x and a^1_2 = 1 - x peak at 1 and 0: in ascending node order 1 - x, x
-        assert delta_basis_matrix(NodeFamily.CLASSIC, 1, 0.3) == pytest.approx(np.array([[0.7, 0.3]]), abs=1e-14)
+        assert _delta_table(NodeFamily.CLASSIC, 1, np.array([0.3])) == pytest.approx(np.array([[0.7, 0.3]]), abs=1e-14)
 
     def test_modified_level1_is_constant_one(self):
         xs = np.array([0.0, 0.12, 0.5, 0.99, 1.0])
-        assert np.array_equal(delta_basis_matrix(NodeFamily.MODIFIED, 1, xs), np.ones((5, 1)))
+        assert np.array_equal(_delta_table(NodeFamily.MODIFIED, 1, xs), np.ones((5, 1)))
 
     def test_cgl_level2_kronecker(self):
         cols = np.eye(3)[:, delta_positions(NodeFamily.CGL, 2) - 1]
-        at_nodes = delta_basis_matrix(NodeFamily.CGL, 2, nodes_1d(NodeFamily.CGL, 2))
+        at_nodes = _delta_table(NodeFamily.CGL, 2, nodes_1d(NodeFamily.CGL, 2))[:, 1:]
         assert at_nodes == pytest.approx(cols, abs=1e-13)
 
     @pytest.mark.parametrize("family", FAMILIES)
@@ -37,16 +57,82 @@ class TestBasis:
             eye = np.eye(len(nodes))
             assert x_basis_matrix(family, i, nodes) == pytest.approx(eye, abs=1e-11)
             cols = eye[:, delta_positions(family, i) - 1]
-            assert delta_basis_matrix(family, i, nodes) == pytest.approx(cols, abs=1e-11)
+            assert _delta_table(family, i, nodes)[:, -cols.shape[1]:] == pytest.approx(cols, abs=1e-11)
 
     def test_outside_support_is_zero(self):
-        # level-4 hat at 0.125 has support [0, 0.25]
-        assert delta_basis_matrix(NodeFamily.CLASSIC, 4, 0.6)[0, 0] == 0.0
+        # the first level-4 hat, column N_3 = 5, sits at 0.125 with support [0, 0.25]
+        assert _delta_table(NodeFamily.CLASSIC, 4, np.array([0.6]))[0, 5] == 0.0
 
     def test_partition_of_unity_level1(self):
         xs = np.linspace(0, 1, 17)
-        assert delta_basis_matrix(NodeFamily.CLASSIC, 1, xs).sum(axis=1) == pytest.approx(np.ones(17), abs=1e-14)
-        assert np.array_equal(delta_basis_matrix(NodeFamily.MODIFIED, 1, xs), np.ones((17, 1)))
+        assert _delta_table(NodeFamily.CLASSIC, 1, xs).sum(axis=1) == pytest.approx(np.ones(17), abs=1e-14)
+        assert np.array_equal(_delta_table(NodeFamily.MODIFIED, 1, xs), np.ones((17, 1)))
+
+
+class TestDeltaTable:
+    """The one-pass table against the per-level reference, for every family and ref level 1..9."""
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_random_points_agree_with_the_reference(self, family):
+        rng = np.random.default_rng(17)
+        for R in REF_LEVELS:
+            x = rng.uniform(0, 1, 400)
+            got, want = _delta_table(family, R, x), reference_table(family, R, x)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+            if family is not NodeFamily.CLASSIC:
+                assert np.all(got[:, 0] == 1.0)  # level 1's single node
+            if family is not NodeFamily.CGL:
+                assert np.array_equal(got, want)  # slope 2^(l-1) scales as exactly as halfwidth 2^-(l-1)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_levels_with_a_node_at_x_are_bit_exact(self, family):
+        # table nodes, 0, 0.5, 1, and points within _NODE_HIT of a node
+        for R in REF_LEVELS:
+            nodes = table_nodes(family, R)
+            x = np.clip(np.concatenate([nodes, [0.0, 0.5, 1.0], nodes + 1e-15, nodes - 1e-15]), 0.0, 1.0)
+            got, want = _delta_table(family, R, x), reference_table(family, R, x)
+            on_node = np.stack([(np.abs(x[:, None] - nodes_1d(family, lvl)) < _NODE_HIT).any(axis=1)
+                                for lvl in range(1, R + 1)], axis=1)[:, column_levels(family, R) - 1]
+            if family is NodeFamily.CGL:
+                # such a level is its node's indicator; the other columns come from each level's
+                # barycentric sum, which the reference adds up in another order
+                assert np.array_equal(got[on_node], want[on_node])
+                assert np.all((got[on_node] == 0.0) | (got[on_node] == 1.0))
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+            else:
+                assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_block_with_some_axes_on_nodes(self, family):
+        g = build_grid(family, 4, 9)
+        rng = np.random.default_rng(23)
+        it = fit_hierarchical(g, np.stack([np.sin(g.ref @ rng.uniform(0.5, 2.0, 4)), g.ref.prod(axis=1)], axis=1))
+        pts = rng.uniform(0, 1, (60, 4))
+        on = (np.arange(60)[:, None] + np.arange(4)) % 3 == 0  # one or two of the four axes of each row
+        pts[on] = rng.choice(table_nodes(family, g.ref_level), on.sum())
+        prod = np.prod([reference_table(family, g.ref_level, pts[:, k])[:, g.cols[:, k]] for k in range(4)], axis=0)
+        want = prod @ it.surpluses
+        assert np.abs(np.asarray(it.eval(pts)) - want).max() <= 1e-12 * np.abs(want).max()
+
+
+class TestHierarchizationMatrix:
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_delta_matrix_at_the_table_nodes_is_unit_lower_triangular(self, family):
+        for R in REF_LEVELS:
+            m = _delta_table(family, R, table_nodes(family, R))
+            assert np.all(np.diag(m) == 1.0)
+            assert np.all(np.triu(m, 1) == 0.0)
+
+    def test_surpluses_equal_those_of_the_reference_matrix(self):
+        g = build_grid(NodeFamily.CGL, 6, 10)
+        z = g.ref @ np.linspace(0.5, 1.7, 6)
+        f = np.stack([np.sin(2.0 * z), np.exp(-(g.ref**2).sum(axis=1))], axis=1)
+        nodes = table_nodes(g.family, g.ref_level)
+        inv = solve_triangular(reference_table(g.family, g.ref_level, nodes), np.eye(len(nodes)),
+                               lower=True, unit_diagonal=True)
+        want = _hierarchize(inv, _poles(g), f)
+        got = fit_hierarchical(g, f).surpluses
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 class TestHierarchicalFit:
