@@ -45,6 +45,12 @@ class ControlProblem:
     Hamiltonian L + lam . f at fixed u, all in closed form: H_x is required, as
     f and L are.  Everything is vectorized over a trailing point axis
     (x: (n, P), u: (m, P), t scalar or (P,)).
+
+    f and L also take one point without the axis: x of shape (n,) and u of
+    shape (m,) give f of shape (n,) and L of shape (), equal to the column
+    results [:, 0] and [0].  The MPC plant steps on these 1-D states.  Unpack
+    rows (x1, x2, x3 = x) rather than slice them, so no (n,) - (n, 1)
+    broadcast can turn a point into a matrix.
     """
 
     name: str = "problem"

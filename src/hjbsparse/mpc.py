@@ -5,6 +5,11 @@ clamped to the domain box for interpolation, the control is computed from the
 interpolated costate, and held constant while the true dynamics are integrated
 with fixed-step classical 4th-order steps.  The integrator also carries the
 accumulated running cost.  Everything is deterministic given the seed.
+
+The plant is stepped on the 1-D state: f(t, x, u) and L(t, x, u) are called
+with x of shape (n,) and u of shape (m,), and return shapes (n,) and ().
+ControlProblem states this shape contract; the BVP sweep calls the same
+f and L on (n, P) columns.
 """
 
 from __future__ import annotations
@@ -46,8 +51,8 @@ class Trajectory:
     times: np.ndarray
     states: np.ndarray                  # true states, (S, n)
     measured: np.ndarray                # noisy measurements, (S, n)
-    controls: np.ndarray                # applied (held) controls, (S, m)
-    running_cost: np.ndarray            # instantaneous L at each sample
+    controls: np.ndarray                # applied (held) controls, (S, m); NaN at a diverged sample
+    running_cost: np.ndarray            # instantaneous L at each sample; NaN at a diverged sample
     accumulated_cost: np.ndarray        # integral of L from 0 to t_k
     clamp_events: list[int]
     status: str                         # "ok" | "diverged"
@@ -57,26 +62,27 @@ class Trajectory:
 
 def _rk4_hold(problem: ControlProblem, t0: float, x: np.ndarray, u: np.ndarray,
               dt: float) -> tuple[np.ndarray, float]:
-    """Integrate the true dynamics and running cost over one hold interval."""
-    uu = u[:, None]
+    """Integrate the true dynamics and running cost over one hold interval.
 
-    def deriv(t, xz):
-        xc = xz[:-1][:, None]
-        dx = problem.f(t, xc, uu)[:, 0]
-        dz = float(problem.L(t, xc, uu)[0])
-        return np.concatenate([dx, [dz]])
-
+    x is the 1-D state and u the 1-D held control; the running cost z is
+    stepped by the same RK4 weights as x, as a separate float.
+    """
+    f, L = problem.f, problem.L
     h = dt / _SUBSTEPS
-    xz = np.concatenate([x, [0.0]])
+    z = 0.0
     t = t0
     for _ in range(_SUBSTEPS):
-        k1 = deriv(t, xz)
-        k2 = deriv(t + h / 2, xz + h / 2 * k1)
-        k3 = deriv(t + h / 2, xz + h / 2 * k2)
-        k4 = deriv(t + h, xz + h * k3)
-        xz = xz + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        k1, l1 = f(t, x, u), L(t, x, u)
+        xm = x + h / 2 * k1
+        k2, l2 = f(t + h / 2, xm, u), L(t + h / 2, xm, u)
+        xm = x + h / 2 * k2
+        k3, l3 = f(t + h / 2, xm, u), L(t + h / 2, xm, u)
+        xm = x + h * k3
+        k4, l4 = f(t + h, xm, u), L(t + h, xm, u)
+        x = x + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        z = z + h / 6 * (l1 + 2 * l2 + 2 * l3 + l4)
         t += h
-    return xz[:-1], float(xz[-1])
+    return x, float(z)
 
 
 def check_x0(problem: ControlProblem, x0) -> np.ndarray:
@@ -88,8 +94,12 @@ def check_x0(problem: ControlProblem, x0) -> np.ndarray:
 
 
 def simulate(problem: ControlProblem, law: FeedbackLaw, x0: np.ndarray, config: MpcConfig) -> Trajectory:
-    """Run the closed loop from x0; aborts with status "diverged" if the true
-    state leaves the 2x inflated domain box.
+    """Run the closed loop from x0; aborts with status "diverged" once the true
+    state is outside the 2x inflated domain box or not finite.
+
+    The state is checked before its measurement is clamped and the law is
+    queried at it, so a diverged last sample has NaN control and running cost
+    and is no clamp event.
 
     The problem is specialized once at x0: Example II's target attitude is
     invariant along true trajectories (C^T B = 0), so it is solved for once.
@@ -105,6 +115,7 @@ def simulate(problem: ControlProblem, law: FeedbackLaw, x0: np.ndarray, config: 
     clamp_events: list[int] = []
     status = "ok"
 
+    center, half = box.center, 0.5 * box.width
     x = x0.copy()
     acc = 0.0
     T = problem.horizon
@@ -116,23 +127,23 @@ def simulate(problem: ControlProblem, law: FeedbackLaw, x0: np.ndarray, config: 
             t_eff = 0.0
         noise = rng.uniform(-1.0, 1.0, size=problem.n) * noise_amp
         meas = x + noise
+        times.append(t_k)
+        states.append(x.copy())
+        measured.append(meas)
+        acc_cost.append(acc)
+
+        # stated positively, so that a NaN state fails it too
+        if not np.all(np.abs(x - center) <= 2.0 * half):
+            controls.append(np.full(problem.m, np.nan))
+            run_cost.append(np.nan)
+            status = "diverged"
+            break
         clamped = box.clip(meas)
         if np.any(clamped != meas):
             clamp_events.append(k)
         u = law.control(t_eff, clamped)
-        lcur = float(problem.L(t_eff, x[:, None], u[:, None])[0])
-
-        times.append(t_k)
-        states.append(x.copy())
-        measured.append(meas)
         controls.append(u.copy())
-        run_cost.append(lcur)
-        acc_cost.append(acc)
-
-        center, half = box.center, 0.5 * box.width
-        if np.any(np.abs(x - center) > 2.0 * half):
-            status = "diverged"
-            break
+        run_cost.append(float(problem.L(t_eff, x, u)))
         if k == n_steps:
             break
         x, dz = _rk4_hold(problem, t_k, x, u, config.dt)

@@ -99,27 +99,31 @@ class AttitudeProblem(ControlProblem):
         self.control_labels = tuple(f"u{i + 1}" for i in range(self.m))
 
     def _check_theta(self, theta: np.ndarray) -> None:
-        if np.any(np.abs(np.abs(theta) - math.pi / 2) < _GIMBAL_MARGIN):
+        if (abs(abs(theta) - math.pi / 2) < _GIMBAL_MARGIN).any():
             raise SingularityError("state at gimbal lock")
 
     def f(self, t, x, u):
-        v, w = x[:3], x[3:]
-        self._check_theta(v[1])
-        s1, c1 = np.sin(v[0]), np.cos(v[0])
-        t2, c2 = np.tan(v[1]), np.cos(v[1])
-        vdot = np.stack([
-            w[0] + s1 * t2 * w[1] + c1 * t2 * w[2],
-            c1 * w[1] - s1 * w[2],
-            (s1 * w[1] + c1 * w[2]) / c2,
+        v0, v1, v2, w0, w1, w2 = x
+        self._check_theta(v1)
+        H0, H1, H2 = self.params.H
+        J0, J1, J2 = self.params.J
+        Bu0, Bu1, Bu2 = self.params.B @ u
+        s1, c1 = np.sin(v0), np.cos(v0)
+        s2, c2 = np.sin(v1), np.cos(v1)
+        s3, c3 = np.sin(v2), np.cos(v2)
+        t2 = np.tan(v1)
+        # R(v) H = R1(phi) R2(theta) R3(psi) H, one elementary rotation at a time
+        a0, a1 = c3 * H0 + s3 * H1, c3 * H1 - s3 * H0
+        b0, b2 = c2 * a0 - s2 * H2, s2 * a0 + c2 * H2
+        RH0, RH1, RH2 = b0, c1 * a1 + s1 * b2, c1 * b2 - s1 * a1
+        return np.array([
+            w0 + s1 * t2 * w1 + c1 * t2 * w2,
+            c1 * w1 - s1 * w2,
+            (s1 * w1 + c1 * w2) / c2,
+            (RH1 * w2 - RH2 * w1 + Bu0) / J0,
+            (RH2 * w0 - RH0 * w2 + Bu1) / J1,
+            (RH0 * w1 - RH1 * w0 + Bu2) / J2,
         ])
-        RH = np.einsum("pij,j->ip", _rotation_cols(v), self.params.H)
-        gyro = np.stack([
-            RH[1] * w[2] - RH[2] * w[1],
-            RH[2] * w[0] - RH[0] * w[2],
-            RH[0] * w[1] - RH[1] * w[0],
-        ])
-        wdot = (gyro + self.params.B @ u) / self.params.J[:, None]
-        return np.vstack([vdot, wdot])
 
     def H_x(self, t, x, lam, u):
         W1, W2 = self.params.W[:2]
@@ -146,7 +150,7 @@ class AttitudeProblem(ControlProblem):
             dR_theta0 * w_mu[0] + RH[0] * (s1 * w_mu[1] + c1 * w_mu[2]),
             np.einsum("pi,ip->p", R @ np.array([H[1], -H[0], 0.0]), w_mu),
         ])
-        H_v = W1 * (v - self._target()) + kin + gyro
+        H_v = W1 * (v - self._target()[:, None]) + kin + gyro
         E_t_lam = np.stack([lam_v[0], s1 * s2 / c2 * lam_v[0] + c1 * lam_v[1] + s1 / c2 * lam_v[2],
                             c1 * s2 / c2 * lam_v[0] - s1 * lam_v[1] + c1 / c2 * lam_v[2]])
         H_w = W2 * w + E_t_lam + np.cross(mu, RH, axis=0)
@@ -154,16 +158,20 @@ class AttitudeProblem(ControlProblem):
 
     def _target(self) -> np.ndarray:
         if not self.reachable:
-            return np.zeros((3, 1))
+            return np.zeros(3)
         if self.target_attitude is None:
             raise ValueError("the cost is centered at a per-point target attitude; "
                              "call specialize(t0, x0) first to freeze it")
-        return self.target_attitude[:, None]
+        return self.target_attitude
 
     def L(self, t, x, u):
         W1, W2, W3 = self.params.W[:3]
-        dv = x[:3] - self._target()
-        return 0.5 * (W1 * (dv**2).sum(axis=0) + W2 * (x[3:] ** 2).sum(axis=0) + W3 * (u**2).sum(axis=0))
+        v0, v1, v2, w0, w1, w2 = x
+        e0, e1, e2 = self._target()
+        d0, d1, d2 = v0 - e0, v1 - e1, v2 - e2
+        # products, not scalar **: see AnalyticProblem.f
+        return 0.5 * (W1 * (d0 * d0 + d1 * d1 + d2 * d2) + W2 * (w0 * w0 + w1 * w1 + w2 * w2)
+                      + W3 * (u * u).sum(axis=0))
 
     def h(self, x):
         if not self.terminal:
@@ -307,16 +315,18 @@ class AnalyticProblem(ControlProblem):
     control_labels: ClassVar[tuple[str, ...]] = ("u",)
     domain: ClassVar[Box] = Box((0.0, -2.0, -2.0, -2.0), (horizon, 2.0, 2.0, 2.0))
 
+    # Squares are products: numpy's scalar ** rounds through pow(), so a 1-D
+    # point could differ in the last bit from the same point as a column.
     def f(self, t, x, u):
         x1, x2, x3 = x
-        D = 1.0 + x1**2 + x2**2
-        g = -2 * x1**2 + 2 * x1 * x2 - 2 * x2**2 + 2 * x2 * x3 / D
-        return np.stack([-x1 + x2, -x2 + x3 / D, g * x3 / D + D * u[0]])
+        D = 1.0 + x1 * x1 + x2 * x2
+        g = -2 * x1 * x1 + 2 * x1 * x2 - 2 * x2 * x2 + 2 * x2 * x3 / D
+        return np.array([-x1 + x2, -x2 + x3 / D, g * x3 / D + D * u[0]])
 
     def L(self, t, x, u):
         x1, x2, x3 = x
-        D = 1.0 + x1**2 + x2**2
-        return 0.5 * (x3**2 / D**2 + u[0] ** 2)
+        D = 1.0 + x1 * x1 + x2 * x2
+        return 0.5 * (x3 * x3 / (D * D) + u[0] * u[0])
 
     def h(self, x):
         return 0.0

@@ -157,7 +157,7 @@ def test_criterion_8_attitude_physics_invariants():
     controls = rng.uniform(-0.5, 0.5, (10, 2))
 
     def deriv(s, u):
-        return p2.f(0.0, s[:, None], u[:, None])[:, 0]
+        return p2.f(0.0, s, u)
 
     dt = 1e-3
     s = x0.copy()

@@ -2,19 +2,46 @@ import filecmp
 
 import numpy as np
 import pytest
+from attitude_oracle import column_f
 from example3_oracle import example3_control
 from trajectory_csv import read_trajectory
 
 from hjbsparse import problems
+from hjbsparse.characteristics import FeedbackLaw
 from hjbsparse.errors import validate
 from hjbsparse.mpc import (
+    _SUBSTEPS,
     HorizonMode,
     MpcConfig,
     Trajectory,
+    _rk4_hold,
     emit_trajectory,
     simulate,
 )
-from hjbsparse.problems import make_example2
+from hjbsparse.problems import AnalyticProblem, make_example1, make_example2, make_example3
+
+
+def augmented_rk4_hold(problem, t0, x, u, dt, rate=None):
+    """Reference hold: RK4 on the augmented column state (x, z), z' = L, with rate = x' and
+    L called on (n, 1) columns; rate defaults to problem.f."""
+    rate = rate or problem.f
+    uu = u[:, None]
+
+    def deriv(t, xz):
+        xc = xz[:-1][:, None]
+        return np.concatenate([rate(t, xc, uu)[:, 0], [float(problem.L(t, xc, uu)[0])]])
+
+    h = dt / _SUBSTEPS
+    xz = np.concatenate([x, [0.0]])
+    t = t0
+    for _ in range(_SUBSTEPS):
+        k1 = deriv(t, xz)
+        k2 = deriv(t + h / 2, xz + h / 2 * k1)
+        k3 = deriv(t + h / 2, xz + h / 2 * k2)
+        k4 = deriv(t + h, xz + h * k3)
+        xz = xz + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        t += h
+    return xz[:-1], float(xz[-1])
 
 
 def ex3_config(**kw):
@@ -22,6 +49,76 @@ def ex3_config(**kw):
                 horizon_mode=HorizonMode.TIME_IN_GRID, seed=17)
     base.update(kw)
     return MpcConfig(**base)
+
+
+class ConstantLaw:
+    """A feedback law that returns the same control everywhere."""
+
+    def __init__(self, u):
+        self.u = np.array(u, dtype=float)
+
+    def control(self, t, x):
+        return self.u.copy()
+
+
+class TestRk4Hold:
+    """_rk4_hold steps the 1-D state with z apart; it equals RK4 on the augmented (x, z) column."""
+
+    @pytest.mark.parametrize("make", [make_example1, make_example2, make_example3])
+    def test_equals_the_augmented_column_hold(self, make):
+        problem, rng = make(), np.random.default_rng(31)
+        box = problem.state_box
+        for _ in range(10):
+            x = box.center + rng.uniform(-0.5, 0.5, problem.n) * box.width
+            u = rng.uniform(-1.0, 1.0, problem.m)
+            frozen = problem.specialize(0.0, x)
+            got_x, got_z = _rk4_hold(frozen, 0.3, x, u, 1.0 / 7.0)
+            assert got_x.shape == (problem.n,) and isinstance(got_z, float)
+            if make is make_example3:
+                # f and L do the same operations on a point as on a column
+                ref_x, ref_z = augmented_rk4_hold(frozen, 0.3, x, u, 1.0 / 7.0)
+                assert np.array_equal(got_x, ref_x) and got_z == ref_z
+                continue
+            # the reference takes x' from the rotation-matrix formulation of f
+            ref_x, ref_z = augmented_rk4_hold(frozen, 0.3, x, u, 1.0 / 7.0,
+                                              rate=lambda t, xc, uc: column_f(frozen, xc, uc))
+            assert np.abs(got_x - ref_x).max() <= 1e-13 * np.abs(ref_x).max()
+            assert abs(got_z - ref_z) <= 1e-13 * abs(ref_z)
+
+
+class TestDivergence:
+    """A state outside the 2x box or not finite ends the run as "diverged" before the law sees it."""
+
+    def test_overflowing_control_diverges_example3(self, ex3):
+        cfg = ex3_config(noise_fraction=0.0, t_max=1.0)
+        with np.errstate(all="ignore"):
+            traj = simulate(ex3, ConstantLaw([1e200]), np.array([0.0, 0.0, 1.5]), cfg)
+        assert traj.status == "diverged"
+        assert not np.all(np.isfinite(traj.states[-1]))
+        assert np.all(np.isnan(traj.controls[-1])) and np.isnan(traj.running_cost[-1])
+        assert len(traj.times) < 8 and np.all(np.isfinite(traj.states[:-1]))
+        assert len(traj.times) - 1 not in traj.clamp_events
+
+    def test_nan_control_diverges_example1(self):
+        cfg = MpcConfig(dt=0.1, t_max=1.0)
+        traj = simulate(make_example1(), ConstantLaw([np.nan] * 3), np.array([0.1, 0.0, 0.0, 0.0, 0.0, 0.0]), cfg)
+        assert traj.status == "diverged"
+        assert len(traj.times) == 2 and np.all(np.isnan(traj.states[-1]))
+
+    def test_nan_state_is_not_queried_by_a_feedback_law(self, ex3, ex3_q9):
+        _, _, law = ex3_q9
+        assert isinstance(law, FeedbackLaw)
+
+        class Overflowing(AnalyticProblem):
+            """Example III with its control amplified 1e200 times: one hold overflows the state."""
+
+            def f(self, t, x, u):
+                return super().f(t, x, 1e200 * u)
+
+        with np.errstate(all="ignore"):
+            traj = simulate(Overflowing(), law, np.array([0.0, 0.0, 1.5]), ex3_config(noise_fraction=0.0))
+        assert traj.status == "diverged"
+        assert len(traj.times) == 2 and not np.all(np.isfinite(traj.states[-1]))
 
 
 class TestSimulateExample3:
@@ -72,14 +169,8 @@ class TestSimulateExample3:
         assert len(traj.clamp_events) > 0
         assert np.all(np.abs(traj.measured[traj.clamp_events[0]] - box.center) >= 0)
 
-    def test_divergence_guard(self, ex3, ex3_q9):
-        _, _, law = ex3_q9
-
-        class RunawayLaw:
-            def control(self, t, x):
-                return np.array([30.0])
-
-        traj = simulate(ex3, RunawayLaw(), np.array([0.0, 0.0, 1.5]),
+    def test_divergence_guard(self, ex3):
+        traj = simulate(ex3, ConstantLaw([30.0]), np.array([0.0, 0.0, 1.5]),
                         ex3_config(noise_fraction=0.0, t_max=5.0))
         assert traj.status == "diverged"
         assert len(traj.times) < 36
@@ -117,12 +208,8 @@ class TestSimulateExample2:
         target = problems.optimal_attitude
         monkeypatch.setattr(problems, "optimal_attitude", lambda *a: calls.append(a) or target(*a))
 
-        class ZeroLaw:
-            def control(self, t, x):
-                return np.zeros(2)
-
         x0 = np.array([0.1, -0.1, 0.2, 0.05, 0.0, -0.05])
-        traj = simulate(make_example2(), ZeroLaw(), x0, MpcConfig(dt=0.1, t_max=0.1))
+        traj = simulate(make_example2(), ConstantLaw([0.0, 0.0]), x0, MpcConfig(dt=0.1, t_max=0.1))
         assert traj.status == "ok" and len(traj.times) == 2
         assert len(calls) == 1
 

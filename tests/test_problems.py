@@ -4,7 +4,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from attitude_oracle import rotation, slsqp_attitude
+from attitude_oracle import column_f, rotation, slsqp_attitude
 from example3_oracle import example3_control, example3_costate
 from hamiltonian_oracle import central_difference, fd_H_x, hamiltonian
 
@@ -25,11 +25,6 @@ from hjbsparse.problems import (
 )
 
 
-def state_rate(problem, t, s, u):
-    """problem.f at a single state: (n,) and (m,) in, (n,) out."""
-    return problem.f(t, s[:, None], np.asarray(u, dtype=float)[:, None])[:, 0]
-
-
 def rk4_trajectory(problem, x0, u_fn, t_end, dt):
     s = np.asarray(x0, dtype=float).copy()
     t = 0.0
@@ -37,10 +32,10 @@ def rk4_trajectory(problem, x0, u_fn, t_end, dt):
     times = [0.0]
     while t < t_end - 1e-12:
         u = u_fn(t)
-        k1 = state_rate(problem, t, s, u)
-        k2 = state_rate(problem, t + dt / 2, s + dt / 2 * k1, u)
-        k3 = state_rate(problem, t + dt / 2, s + dt / 2 * k2, u)
-        k4 = state_rate(problem, t + dt, s + dt * k3, u)
+        k1 = problem.f(t, s, u)
+        k2 = problem.f(t + dt / 2, s + dt / 2 * k1, u)
+        k3 = problem.f(t + dt / 2, s + dt / 2 * k2, u)
+        k4 = problem.f(t + dt, s + dt * k3, u)
         s = s + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         t += dt
         states.append(s.copy())
@@ -53,7 +48,7 @@ class TestKinematics:
         assert np.allclose(_rotation_cols(np.zeros((3, 1)))[0], np.eye(3))
         # E(0) = I: at v = 0 the Euler rates are the body rates
         w = np.array([0.3, -0.7, 1.1])
-        vdot = state_rate(make_example1(), 0.0, np.concatenate([np.zeros(3), w]), np.zeros(3))[:3]
+        vdot = make_example1().f(0.0, np.concatenate([np.zeros(3), w]), np.zeros(3))[:3]
         assert np.array_equal(vdot, w)
 
     def test_rotation_orthogonal_unit_determinant(self):
@@ -64,7 +59,7 @@ class TestKinematics:
 
     def test_gimbal_lock_raises(self):
         with pytest.raises(SingularityError):
-            state_rate(make_example1(), 0.0, np.array([0.0, math.pi / 2, 0.0, 0.1, 0.2, 0.3]), np.zeros(3))
+            make_example1().f(0.0, np.array([0.0, math.pi / 2, 0.0, 0.1, 0.2, 0.3]), np.zeros(3))
 
     def test_rotation_rate_consistency(self):
         # d/dt R(v(t)) must equal -[w]x R(v) when v' = E(v) w
@@ -73,7 +68,7 @@ class TestKinematics:
         for _ in range(20):
             v = rng.uniform(-0.8, 0.8, 3)
             w = rng.uniform(-1, 1, 3)
-            vdot = state_rate(p, 0.0, np.concatenate([v, w]), np.zeros(3))[:3]
+            vdot = p.f(0.0, np.concatenate([v, w]), np.zeros(3))[:3]
             eps = 1e-6
             Rdot = (rotation(v + eps * vdot) - rotation(v - eps * vdot)) / (2 * eps)
             wx = np.array([[0, -w[2], w[1]], [w[2], 0, -w[0]], [-w[1], w[0], 0]])
@@ -84,7 +79,7 @@ class TestAttitudeDynamics:
     def test_rest_is_equilibrium_in_rates(self):
         p = make_example1()
         v = np.array([0.2, -0.1, 0.3])
-        rate = state_rate(p, 0.0, np.concatenate([v, np.zeros(3)]), np.zeros(3))
+        rate = p.f(0.0, np.concatenate([v, np.zeros(3)]), np.zeros(3))
         assert np.abs(rate[:3]).max() == 0.0
         assert np.abs(rate[3:]).max() < 1e-15  # S(0) = 0
 
@@ -119,14 +114,83 @@ class TestAttitudeDynamics:
         norms = [np.linalg.norm(s)]
         for k in range(2000):
             u = u_fn(k * dt)
-            k1 = state_rate(p, 0, s, u)
-            k2 = state_rate(p, 0, s + dt / 2 * k1, u)
-            k3 = state_rate(p, 0, s + dt / 2 * k2, u)
-            k4 = state_rate(p, 0, s + dt * k3, u)
+            k1 = p.f(0, s, u)
+            k2 = p.f(0, s + dt / 2 * k1, u)
+            k3 = p.f(0, s + dt / 2 * k2, u)
+            k4 = p.f(0, s + dt * k3, u)
             s = s + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
             state["x"] = s
             norms.append(np.linalg.norm(s))
         assert norms[-1] < 0.05 * norms[0]
+
+
+def _smooth_field():
+    """perfbench's SmoothField pattern: Example I's dynamics and cost with horizon 0."""
+    return AttitudeProblem(params=replace(make_example1().params, T=0.0), name="smooth-field")
+
+
+SHAPE_PROBLEMS = {
+    "example1": make_example1,
+    "example2": lambda: make_example2().specialize(0.0, np.array([0.1, -0.1, 0.2, 0.05, 0.0, -0.05])),
+    "example3": make_example3,
+    "smooth-field": _smooth_field,
+}
+
+
+SQUARE_TRAP = -0.3902108345010009
+
+
+def random_inputs(problem, count, seed):
+    """(t, x, u) of `count` random points: t in [0, horizon], x in the state box, u in [-1, 1]^m."""
+    rng = np.random.default_rng(seed)
+    box = problem.state_box
+    t = rng.uniform(0.0, problem.horizon, count)
+    x = box.lo + rng.uniform(size=(count, problem.n)) * box.width
+    return t, x, rng.uniform(-1.0, 1.0, (count, problem.m))
+
+
+class TestShapeContract:
+    """f and L take one point as x (n,) and u (m,), as the MPC plant steps, and equal the column path.
+
+    Slicing x[:3] of a 1-D state and subtracting a (3, 1) target, or dividing
+    by J[:, None], broadcasts a point into a (3, 3) matrix; the shapes are
+    asserted so that such a trap fails here.
+    """
+
+    @pytest.mark.parametrize("name", sorted(SHAPE_PROBLEMS))
+    def test_point_equals_column(self, name):
+        problem = SHAPE_PROBLEMS[name]()
+        for t, x, u in zip(*random_inputs(problem, 200, seed=18)):
+            f, L = problem.f(t, x, u), problem.L(t, x, u)
+            f_col, L_col = problem.f(t, x[:, None], u[:, None]), problem.L(t, x[:, None], u[:, None])
+            assert np.shape(f) == (problem.n,) and np.shape(L) == ()
+            assert f_col.shape == (problem.n, 1) and L_col.shape == (1,)
+            assert np.abs(f - f_col[:, 0]).max() <= 1e-15 * np.abs(f_col).max()
+            assert abs(L - L_col[0]) <= 1e-15 * abs(L_col[0])
+
+    @pytest.mark.parametrize("name", sorted(SHAPE_PROBLEMS))
+    def test_point_cost_is_the_column_cost_exactly(self, name):
+        """L squares by products: numpy's scalar ** rounds through pow(), which here puts
+        SQUARE_TRAP**2 one ulp from SQUARE_TRAP * SQUARE_TRAP, while a column squares exactly."""
+        problem = SHAPE_PROBLEMS[name]()
+        x, u = np.full(problem.n, SQUARE_TRAP), np.full(problem.m, SQUARE_TRAP)
+        assert problem.L(0.0, x, u) == problem.L(0.0, x[:, None], u[:, None])[0]
+
+    @pytest.mark.parametrize("name", sorted(SHAPE_PROBLEMS))
+    def test_columns_keep_their_axis(self, name):
+        problem = SHAPE_PROBLEMS[name]()
+        _, x, u = random_inputs(problem, 200, seed=19)
+        f, L = problem.f(0.5, x.T, u.T), problem.L(0.5, x.T, u.T)
+        assert f.shape == (problem.n, 200) and L.shape == (200,)
+        one = problem.f(0.5, x[7], u[7])
+        assert np.abs(f[:, 7] - one).max() <= 1e-15 * np.abs(one).max()
+
+    @pytest.mark.parametrize("name", ["example1", "example2", "smooth-field"])
+    def test_attitude_f_matches_the_rotation_matrix_oracle(self, name):
+        problem = SHAPE_PROBLEMS[name]()
+        _, x, u = random_inputs(problem, 200, seed=20)
+        f, ref = problem.f(0.0, x.T, u.T), column_f(problem, x.T, u.T)
+        assert np.abs(f - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 class TestProblemFactories:
