@@ -5,8 +5,9 @@ from the collocation definition (integrated Lagrange bases on the Lobatto
 abscissae) rather than transcribed from a table.  On every mesh subinterval
 the solution polynomial satisfies the ODE exactly at the four Lobatto points;
 the resulting global system is solved by a damped Newton iteration with
-forward-difference Jacobians, and the mesh is refined wherever the sampled
-residual of the collocation polynomial exceeds the tolerance.
+forward-difference Jacobians.  A solve ends when the sampled residual of the
+collocation polynomial is within the tolerance on every interval; until
+then, each next mesh is chosen to spread that residual evenly (_select_mesh).
 
 The system has one block layout, almost block diagonal (see _Collocation):
 each interval owns three block rows of the residual and one dense (3M x 4M)
@@ -27,6 +28,12 @@ mixed absolute/relative scale with floor 1.0:
 
     scale_m = max(1.0, max_s |y_m(s)|, max_s |y'_m(s)|)
 
+Mesh selection is equidistribution, as in COLNEW (Bader & Ascher, SIAM J.
+Sci. Stat. Comput. 8, 1987) and bvp4c (Kierzenka & Shampine, ACM TOMS 27,
+2001): with the residual modelled as h^p, the new mesh puts about
+(r_k / (sigma tol))^(1/p) intervals where interval k was, so nodes move
+towards the large residuals and leave the small ones.
+
 The solver holds no global state; any number of solves may run concurrently.
 """
 
@@ -35,6 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -45,6 +53,11 @@ from scipy.sparse.linalg import splu  # noqa: F401  unused; perfbench/tracing.py
 _SQRT_EPS = math.sqrt(np.finfo(float).eps)
 _MAX_NEWTON = 50                              # Newton iterations per mesh
 _MAX_NODES = 10_000                           # mesh nodes before a solve gives up (MaxMesh)
+_MESH_P = 4                                   # the residual's assumed order in h, for mesh selection
+_MESH_SIGMA = 0.25                            # target residual per new interval, as a fraction of tol
+_MESH_CAP = 8                                 # most pieces one interval becomes in one mesh selection
+_MAX_MESHES = 30                              # meshes per solve before it gives up (MaxMesh); mesh
+                                              # selection may remove nodes, so _MAX_NODES alone does not end the loop
 
 # Lobatto abscissae for the 4-point formula on [0, 1]
 _C = np.array([0.0, (5.0 - math.sqrt(5.0)) / 10.0, (5.0 + math.sqrt(5.0)) / 10.0, 1.0])
@@ -63,6 +76,7 @@ def _lagrange_polys(nodes: np.ndarray) -> list[Polynomial]:
 
 _L = _lagrange_polys(_C)                      # stage interpolation basis
 _B = [p.integ() for p in _L]                  # running integrals, B_j(0) = 0
+_B_COEF = np.array([b.coef for b in _B]).T    # (5, 4): B_j(theta) = sum_i _B_COEF[i, j] theta^i
 _A = np.array([[float(b(c)) for b in _B] for c in _C])  # a_ij = B_j(c_i)
 
 # residual sample offsets: Gauss-Legendre 5, none coincide with Lobatto points
@@ -124,9 +138,12 @@ class BvpSolution:
         k = np.clip(np.searchsorted(self.mesh, s_arr, side="right") - 1, 0, len(self.mesh) - 2)
         h = self.mesh[k + 1] - self.mesh[k]
         theta = (s_arr - self.mesh[k]) / h
+        b = np.zeros((len(theta), 4))          # B_j(theta) by Horner's rule, as Polynomial evaluates it
+        for c in _B_COEF[::-1]:
+            b = b * theta[:, None] + c
         out = self.y[:, k].copy()
         for j in range(4):
-            out += h * _B[j](theta) * self.stage_f[:, j, k]
+            out += h * b[:, j] * self.stage_f[:, j, k]
         return out[:, 0] if np.ndim(s) == 0 else out
 
     def integrate(self, g) -> float:
@@ -288,6 +305,22 @@ class _Collocation:
         return (np.abs(sprime - f_mid) / self.scale(y, f)[:, None, None]).max(axis=(0, 1))
 
 
+@lru_cache(maxsize=4)
+def _band_index(K: int, M: int, m_a: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat positions in _condensed_solve's band array of the left bc rows, the K
+    Schur blocks and the right bc rows, each in C order of its values."""
+    kl, ku = m_a + M - 1, max(2 * M - 1 - m_a, M - 1)
+    ncol = (K + 1) * M
+    i, j, j2 = np.arange(M)[:, None], np.arange(M), np.arange(2 * M)
+    at_a = (ku + i[:m_a] - j) * ncol + j
+    at_s = (ku + m_a + i - j2) * ncol + M * np.arange(K)[:, None, None] + j2
+    at_b = (ku + m_a + i[: M - m_a] - j) * ncol + K * M + j
+    out = tuple(a.ravel() for a in (at_a, at_s, at_b))
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
 def _condensed_solve(blocks: np.ndarray, dba: np.ndarray, dbb: np.ndarray, F: np.ndarray) -> np.ndarray:
     """The Newton step delta (3K+1, M) of J delta = -F, J given by _Collocation.jacobian.
 
@@ -306,22 +339,28 @@ def _condensed_solve(blocks: np.ndarray, dba: np.ndarray, dbb: np.ndarray, F: np
     if np.any(~left & dba.any(axis=1)):
         raise ValueError("the boundary conditions are not separated: "
                          "a bc component depends on both ya and yb")
-    BF = np.concatenate([blocks[:, :, :M], blocks[:, :, 3 * M:], F[: 3 * K * M].reshape(K, 3 * M, 1)], axis=2)
-    X = np.linalg.solve(blocks[:, : 2 * M, M : 3 * M], BF[:, : 2 * M])     # (K, 2M, 2M+1)
-    S = BF[:, 2 * M :] - blocks[:, 2 * M :, M : 3 * M] @ X                # (K, M, 2M+1)
+    F_coll = F[: 3 * K * M].reshape(K, 3 * M)
+    RHS = np.empty((K, 2 * M, 2 * M + 1))                                # A_0 | A_3 | F_23
+    RHS[:, :, :M] = blocks[:, : 2 * M, :M]
+    RHS[:, :, M : 2 * M] = blocks[:, : 2 * M, 3 * M :]
+    RHS[:, :, 2 * M] = F_coll[:, : 2 * M]
+    X = np.linalg.solve(blocks[:, : 2 * M, M : 3 * M], RHS)              # (K, 2M, 2M+1)
+    S = np.negative(blocks[:, 2 * M :, M : 3 * M] @ X)                   # (K, M, 2M+1)
+    S[:, :, :M] += blocks[:, 2 * M :, :M]
+    S[:, :, M : 2 * M] += blocks[:, 2 * M :, 3 * M :]
+    S[:, :, 2 * M] += F_coll[:, 2 * M :]
 
     m_a = int(left.sum())
     kl, ku = m_a + M - 1, max(2 * M - 1 - m_a, M - 1)
-    ab = np.zeros((kl + ku + 1, (K + 1) * M))          # ab[ku + r - c, c] = J_nodes[r, c]
-    i, j = np.arange(M)[:, None], np.arange(M)
-    ab[ku + i[:m_a] - j, j] = dba[left]
-    j2 = np.arange(2 * M)
-    ab[ku + m_a + i - j2, M * np.arange(K)[:, None, None] + j2] = S[:, :, : 2 * M]
-    ab[ku + m_a + i[: M - m_a] - j, K * M + j] = dbb[~left]
+    ab = np.zeros((kl + ku + 1) * (K + 1) * M)         # ab[ku + r - c, c] = J_nodes[r, c], flat
+    at_a, at_s, at_b = _band_index(K, M, m_a)
+    ab[at_a] = dba[left].ravel()
+    ab[at_s] = S[:, :, : 2 * M].ravel()
+    ab[at_b] = dbb[~left].ravel()
     F_bc = F[3 * K * M :]
     rhs = -np.concatenate([F_bc[left], S[:, :, 2 * M].ravel(), F_bc[~left]])
     # unchecked: a non-finite Jacobian gives a non-finite step, which newton rejects
-    z = solve_banded((kl, ku), ab, rhs, overwrite_ab=True, overwrite_b=True,
+    z = solve_banded((kl, ku), ab.reshape(kl + ku + 1, -1), rhs, overwrite_ab=True, overwrite_b=True,
                      check_finite=False).reshape(K + 1, M)
 
     nodes = np.concatenate([z[:-1], z[1:]], axis=1)[:, :, None]           # (K, 2M, 1)
@@ -331,6 +370,24 @@ def _condensed_solve(blocks: np.ndarray, dba: np.ndarray, dbb: np.ndarray, F: np
     delta[1::3] = interior[:, :M]
     delta[2::3] = interior[:, M:]
     return delta
+
+
+def _select_mesh(mesh: np.ndarray, res: np.ndarray, tol: float) -> np.ndarray:
+    """The mesh that spreads the residual evenly, from interval residuals res on mesh.
+
+    Under r ~ h^p, interval k needs w_k = (r_k / (sigma tol))^(1/p) intervals
+    where it has one.  w_k is kept within [1/_MESH_CAP, _MESH_CAP]: the model
+    holds only for modest changes of h, and the floor keeps every weight
+    positive; a non-finite residual takes the cap.  The new mesh has
+    ceil(sum w_k) intervals of equal weight: equally spaced targets mapped
+    through the cumulative weight, piecewise linear in s.  So nodes move, and
+    intervals with r_k well below tol merge.  The ends are kept exactly and
+    the nodes increase strictly.
+    """
+    w = np.maximum(np.fmin((res / (_MESH_SIGMA * tol)) ** (1.0 / _MESH_P), _MESH_CAP), 1.0 / _MESH_CAP)
+    cum = np.concatenate([[0.0], np.cumsum(w)])
+    n = math.ceil(cum[-1])
+    return np.interp(np.linspace(0.0, cum[-1], n + 1), cum, mesh)   # exact at both ends
 
 
 def _pack_solution(coll: _Collocation, y: np.ndarray, f: np.ndarray, status: BvpStatus,
@@ -347,7 +404,7 @@ def _pack_solution(coll: _Collocation, y: np.ndarray, f: np.ndarray, status: Bvp
 
 
 def solve(problem: BvpProblem) -> BvpSolution:
-    """Solve with adaptive mesh refinement until the sampled residual meets tol.
+    """Solve with adaptive mesh selection until the sampled residual meets tol.
 
     Deterministic: fixed iteration order, no randomness.  Failure is reported
     through the status field (NewtonDiverged / MaxMesh), never silently.
@@ -382,16 +439,10 @@ def solve(problem: BvpProblem) -> BvpSolution:
         if est <= problem.tol:
             return _pack_solution(coll, y_sol, f_sol, BvpStatus.CONVERGED, est, total_iters, meshes)
 
-        # subdivide offending intervals, keeping every existing node
-        pieces = []
-        for k in range(coll.K):
-            pieces.append(mesh[k])
-            if res[k] > problem.tol:
-                nsplit = int(np.clip(math.ceil((res[k] / problem.tol) ** 0.2), 2, 4))
-                pieces.extend(mesh[k] + (np.arange(1, nsplit) / nsplit) * coll.h[k])
-        pieces.append(mesh[-1])
-        new_mesh = np.array(pieces)
-        if len(new_mesh) > _MAX_NODES:
+        # choose the next mesh from this one's residuals and continue from the
+        # current solution; nodes may move or go, so the pass count is capped too
+        new_mesh = _select_mesh(mesh, res, problem.tol)
+        if len(new_mesh) > _MAX_NODES or meshes >= _MAX_MESHES:
             return _pack_solution(coll, y_sol, f_sol, BvpStatus.MAX_MESH, est, total_iters, meshes)
         mesh = new_mesh
         y = _pack_solution(coll, y_sol, f_sol, BvpStatus.MAX_MESH, est, total_iters, meshes).interpolate(

@@ -398,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--domain-id", default=None, choices=["d1", "d2"])
     p.add_argument("--problem-config", default=None,
                    help="JSON object overriding AttitudeParams fields (B, J, H, W, T, domain)")
-    common(p, "ds.jsonl", cmd_sweep, family="cgl", q=REQUIRED, tol=1e-8, workers=None)
+    common(p, "ds.jsonl", cmd_sweep, family="cgl", q=REQUIRED, tol=1e-6, workers=None)
 
     p = sub.add_parser("fit", help="fit hierarchical surpluses from a sweep dataset")
     p.add_argument("--dataset", required=True)

@@ -5,6 +5,8 @@ import pytest
 
 import hjbsparse.bvp as bvpmod
 from hjbsparse.bvp import (
+    _B,
+    _MESH_CAP,
     _RES_B,
     _RES_L,
     _RES_THETA,
@@ -13,6 +15,7 @@ from hjbsparse.bvp import (
     BvpStatus,
     _Collocation,
     _condensed_solve,
+    _select_mesh,
     _stage_abscissae,
     empirical_order,
     solve,
@@ -123,6 +126,21 @@ class TestSolve:
         assert sol.status is BvpStatus.MAX_MESH
         assert sol.est_residual > 1e-13
 
+    def test_mesh_pass_limit_is_max_mesh(self, monkeypatch):
+        monkeypatch.setattr(bvpmod, "_MAX_MESHES", 1)
+        sol = solve(sin_problem(1e-12))
+        assert sol.status is BvpStatus.MAX_MESH
+        assert sol.meshes_tried == 1
+
+    def test_interpolate_equals_the_b_polynomials(self):
+        sol = solve(expsin_problem(1e-8))
+        s = np.random.default_rng(0).uniform(0.0, 2.0, 500)
+        k = np.clip(np.searchsorted(sol.mesh, s, side="right") - 1, 0, len(sol.mesh) - 2)
+        h = sol.mesh[k + 1] - sol.mesh[k]
+        theta = (s - sol.mesh[k]) / h
+        want = sol.y[:, k] + sum(h * _B[j](theta) * sol.stage_f[:, j, k] for j in range(4))
+        assert np.abs(sol.interpolate(s) - want).max() <= 4 * np.finfo(float).eps * np.abs(want).max()
+
     def test_newton_diverged_status(self):
         # finite-time blow-up inside the interval defeats any mesh
         def rhs(s, y):
@@ -136,6 +154,48 @@ class TestSolve:
 
         sol = solve(BvpProblem(ndim=1, rhs=rhs, bc=bc, interval=(0.0, 1.0), tol=1e-8, guess=guess))
         assert sol.status in (BvpStatus.NEWTON_DIVERGED, BvpStatus.MAX_MESH)
+
+
+class TestMeshSelection:
+    def mesh(self, K=12):
+        return np.cumsum(np.concatenate([[0.0], np.random.default_rng(1).uniform(0.5, 2.0, K)]))
+
+    def test_ends_exact_and_nodes_strictly_increasing(self):
+        mesh = self.mesh()
+        res = np.array([0.0, 1e-30, 1e-9, 1e-7, 1e-3, 1.0, np.inf, np.nan, 1e-8, 5e-9, 2e-8, 0.0])
+        new = _select_mesh(mesh, res, 1e-8)
+        assert new[0] == mesh[0] and new[-1] == mesh[-1]
+        assert np.all(np.diff(new) > 0)
+
+    def test_quiet_intervals_lose_nodes(self):
+        mesh = np.linspace(0.0, 1.0, 41)
+        res = np.where(mesh[:-1] < 0.5, 1e-6, 10.0) * 1e-8
+        new = _select_mesh(mesh, res, 1e-8)
+        assert np.sum(new < 0.5) < np.sum(mesh < 0.5)
+        assert np.sum(new > 0.5) > np.sum(mesh > 0.5)
+
+    def test_an_interval_becomes_at_most_the_cap_in_pieces(self):
+        mesh, k = self.mesh(), 5
+        capped = None
+        for r in (1e-2, 1.0, np.inf, np.nan):          # all far above the cap, or non-finite
+            res = np.full(len(mesh) - 1, 0.1e-8)
+            res[k] = r
+            new = _select_mesh(mesh, res, 1e-8)
+            inside = new[(new >= mesh[k]) & (new <= mesh[k + 1])]
+            assert np.diff(inside).min() >= (mesh[k + 1] - mesh[k]) / (_MESH_CAP + 1)
+            capped = new if capped is None else capped
+            assert np.array_equal(new, capped)
+
+    # meshes each solve took with the split-only refinement this selection replaced
+    @pytest.mark.parametrize("make, tol, split_only_meshes", [
+        (sin_problem, 1e-8, 3), (sin_problem, 1e-10, 3), (sin_problem, 1e-12, 4),
+        (expsin_problem, 1e-6, 3), (expsin_problem, 1e-8, 3), (expsin_problem, 1e-10, 4),
+        (expsin_problem, 1e-12, 5)])
+    def test_no_more_meshes_than_split_only(self, make, tol, split_only_meshes):
+        sol = solve(make(tol))
+        assert sol.status is BvpStatus.CONVERGED
+        assert sol.est_residual <= tol
+        assert sol.meshes_tried <= split_only_meshes
 
 
 class TestResidualHonesty:

@@ -97,7 +97,7 @@ class TestBasics:
 
     def test_help_shows_each_declared_default(self):
         text = build_parser()._subparsers._group_actions[0].choices["sweep"].format_help()
-        assert "(default: 1e-08)" in text and "(default: cgl)" in text and "(required)" in text
+        assert "(default: 1e-06)" in text and "(default: cgl)" in text and "(required)" in text
 
     def test_parser_covers_all_subcommands(self):
         parser = build_parser()
