@@ -13,7 +13,9 @@ The system has one block layout, almost block diagonal (see _Collocation):
 each interval owns three block rows of the residual and one dense (3M x 4M)
 Jacobian block.  Residual, Jacobian and residual sampling are whole-mesh
 array operations, with one stacked rhs call per Jacobian (M perturbed copies
-of the states as M x P columns) and one per residual sampling (5K columns).
+of the states as M x P columns), one stacked bc call per Jacobian (the two
+ends and their 2M perturbed copies as 2M + 1 columns) and one rhs call per
+residual sampling (5K columns).
 
 Each Newton step is a condensed solve, as in COLSYS/COLNEW (Ascher, Mattheij
 & Russell, Numerical Solution of BVPs for ODEs, SIAM 1995, ch. 7): one
@@ -97,12 +99,15 @@ class BvpProblem:
 
     rhs is vectorized: rhs(s: (P,), y: (M, P)) -> (M, P), column p depending
     only on s[p] and y[:, p] (the Jacobian passes M perturbed copies at once).
-    bc(ya: (M,), yb: (M,)) -> (M,) residuals, zero at the solution.  The
-    conditions must be separated: each component depends on ya only (a left
-    condition) or on yb only, in any order.  The Newton step eliminates every
-    interval's interior points and solves one banded system over the mesh
-    nodes, which a component reading both ends would couple; solve raises
-    ValueError for one.
+    bc gives the residuals, zero at the solution, and is vectorized too:
+    bc(ya: (M, P), yb: (M, P)) -> (M, P), column p depending only on
+    ya[:, p] and yb[:, p] (the Jacobian passes the ends and their 2M
+    perturbed copies at once); the residual passes one point,
+    bc(ya: (M,), yb: (M,)) -> (M,).  The conditions must be separated: each
+    component depends on ya only (a left condition) or on yb only, in any
+    order.  The Newton step eliminates every interval's interior points and
+    solves one banded system over the mesh nodes, which a component reading
+    both ends would couple; solve raises ValueError for one.
     guess maps s: (P,) -> (M, P); defaults to zeros.
     """
 
@@ -231,19 +236,18 @@ class _Collocation:
         eye = np.eye(M)                 # delta_i+1,j I - delta_j0 I, on those sub-blocks only
         blocks[:, np.arange(3), :, np.arange(1, 4)] += eye
         blocks[:, :, :, 0] -= eye
-        ya, yb = y[:, 0], y[:, -1]
-        r0 = self.p.bc(ya, yb)
-        dba = np.empty((M, M))
-        dbb = np.empty((M, M))
-        for m in range(M):
-            da = _SQRT_EPS * max(abs(ya[m]), 1.0)
-            ya_p = ya.copy()
-            ya_p[m] += da
-            dba[:, m] = (self.p.bc(ya_p, yb) - r0) / da
-            db = _SQRT_EPS * max(abs(yb[m]), 1.0)
-            yb_p = yb.copy()
-            yb_p[m] += db
-            dbb[:, m] = (self.p.bc(ya, yb_p) - r0) / db
+        # one bc call on 2M + 1 columns: the ends, then ya perturbed in each component, then yb
+        ya, yb = np.repeat(y[:, :1], 2 * M + 1, axis=1), np.repeat(y[:, -1:], 2 * M + 1, axis=1)
+        da = _SQRT_EPS * np.maximum(np.abs(y[:, 0]), 1.0)
+        db = _SQRT_EPS * np.maximum(np.abs(y[:, -1]), 1.0)
+        m = np.arange(M)
+        ya[m, 1 + m] += da
+        yb[m, 1 + M + m] += db
+        r = np.asarray(self.p.bc(ya, yb), dtype=float)
+        if r.shape != ya.shape:
+            raise ValueError(f"bc returned shape {r.shape}, expected {ya.shape}")
+        dba = (r[:, 1 : M + 1] - r[:, :1]) / da
+        dbb = (r[:, M + 1 :] - r[:, :1]) / db
         return blocks.reshape(K, 3 * M, 4 * M), dba, dbb
 
     def scale(self, y: np.ndarray, f: np.ndarray) -> np.ndarray:

@@ -51,6 +51,10 @@ class ControlProblem:
     results [:, 0] and [0].  The MPC plant steps on these 1-D states.  Unpack
     rows (x1, x2, x3 = x) rather than slice them, so no (n,) - (n, 1)
     broadcast can turn a point into a matrix.
+
+    h_x takes one point (n,) -> (n,) and columns (n, P) -> (n, P): the BVP's
+    boundary Jacobian evaluates it on every perturbed copy of x(T) in one
+    call.  A zero gradient is np.zeros_like(x), never a fixed-shape array.
     """
 
     name: str = "problem"
@@ -123,7 +127,8 @@ def assemble_bvp(problem: ControlProblem, t0: float, x0: np.ndarray, tol: float)
         return np.vstack([prob.f(s, x, u), -prob.H_x(s, x, lam, u)])
 
     def bc(ya, yb):
-        return np.concatenate([ya[:n] - x0, yb[n:] - prob.h_x(yb[:n])])
+        # x0 against the leading axis, so that ya is one point (2n,) or columns (2n, P)
+        return np.concatenate([(ya[:n].T - x0).T, yb[n:] - prob.h_x(yb[:n])])
 
     def guess(s):
         return np.repeat(y_guess, len(s), axis=1)

@@ -14,7 +14,8 @@ arbiter for every sign choice; see README for the full matrices):
   (optimal_attitude): R* is the least rotation of H onto the nearest point
   of the circle {g : |g| = |H|, C.g = -c0}, so v_e depends only on c0.
 
-AttitudeProblem.f is the one implementation of these dynamics.
+AttitudeProblem.f is the one implementation of these dynamics, and _rotate_H
+the one of R(v) H, which f, H_x and conserved_quantity share.
 """
 
 from __future__ import annotations
@@ -36,22 +37,16 @@ _GIMBAL_MARGIN = 1e-9
 # Kinematics
 # ---------------------------------------------------------------------------
 
-def _rotation_cols(v: np.ndarray) -> np.ndarray:
-    """R(v) for v of shape (3, P); returns (P, 3, 3)."""
-    s1, c1 = np.sin(v[0]), np.cos(v[0])
-    s2, c2 = np.sin(v[1]), np.cos(v[1])
-    s3, c3 = np.sin(v[2]), np.cos(v[2])
-    R = np.empty((v.shape[1], 3, 3))
-    R[:, 0, 0] = c2 * c3
-    R[:, 0, 1] = c2 * s3
-    R[:, 0, 2] = -s2
-    R[:, 1, 0] = s1 * s2 * c3 - c1 * s3
-    R[:, 1, 1] = s1 * s2 * s3 + c1 * c3
-    R[:, 1, 2] = s1 * c2
-    R[:, 2, 0] = c1 * s2 * c3 + s1 * s3
-    R[:, 2, 1] = c1 * s2 * s3 - s1 * c3
-    R[:, 2, 2] = c1 * c2
-    return R
+def _rotate_H(H, s1, c1, s2, c2, s3, c3):
+    """R(v) H = R1(phi) R2(theta) R3(psi) H one elementary rotation at a time, from sin/cos of v.
+
+    Returns R(v) H as (RH0, RH1, RH2) and the intermediates (a0, a1, b2):
+    R3(psi) H = (a0, a1, H2), and b2 is the last component of R2(theta) R3(psi) H.
+    """
+    H0, H1, H2 = H
+    a0, a1 = c3 * H0 + s3 * H1, c3 * H1 - s3 * H0
+    b0, b2 = c2 * a0 - s2 * H2, s2 * a0 + c2 * H2
+    return (b0, c1 * a1 + s1 * b2, c1 * b2 - s1 * a1), (a0, a1, b2)
 
 
 # ---------------------------------------------------------------------------
@@ -105,17 +100,12 @@ class AttitudeProblem(ControlProblem):
     def f(self, t, x, u):
         v0, v1, v2, w0, w1, w2 = x
         self._check_theta(v1)
-        H0, H1, H2 = self.params.H
         J0, J1, J2 = self.params.J
         Bu0, Bu1, Bu2 = self.params.B @ u
         s1, c1 = np.sin(v0), np.cos(v0)
         s2, c2 = np.sin(v1), np.cos(v1)
-        s3, c3 = np.sin(v2), np.cos(v2)
         t2 = np.tan(v1)
-        # R(v) H = R1(phi) R2(theta) R3(psi) H, one elementary rotation at a time
-        a0, a1 = c3 * H0 + s3 * H1, c3 * H1 - s3 * H0
-        b0, b2 = c2 * a0 - s2 * H2, s2 * a0 + c2 * H2
-        RH0, RH1, RH2 = b0, c1 * a1 + s1 * b2, c1 * b2 - s1 * a1
+        (RH0, RH1, RH2), _ = _rotate_H(self.params.H, s1, c1, s2, c2, np.sin(v2), np.cos(v2))
         return np.array([
             w0 + s1 * t2 * w1 + c1 * t2 * w2,
             c1 * w1 - s1 * w2,
@@ -127,34 +117,35 @@ class AttitudeProblem(ControlProblem):
 
     def H_x(self, t, x, lam, u):
         W1, W2 = self.params.W[:2]
-        H, J = self.params.H, self.params.J
-        v, w, lam_v = x[:3], x[3:], lam[:3]
-        mu = lam[3:] / J[:, None]
-        self._check_theta(v[1])
-        s1, c1 = np.sin(v[0]), np.cos(v[0])
-        s2, c2 = np.sin(v[1]), np.cos(v[1])
-        s3, c3 = np.sin(v[2]), np.cos(v[2])
-        R = _rotation_cols(v)
-        RH = np.einsum("pij,j->ip", R, H)
-        # v' = E(v) w: d/dphi and d/dtheta of E(v) w, contracted with lam_v
-        a, b = s1 * w[1] + c1 * w[2], c1 * w[1] - s1 * w[2]
-        kin = np.stack([b * (s2 / c2 * lam_v[0] + lam_v[2] / c2) - a * lam_v[1],
-                        a / c2**2 * (lam_v[0] + s2 * lam_v[2]),
-                        np.zeros_like(a)])
-        # mu . (R H x w) = (R H) . (w x mu), and for R = R1(phi) R2(theta) R3(psi):
-        # dR/dphi H = (0, RH_3, -RH_2), dR/dtheta H = (., s1 RH_1, c1 RH_1), dR/dpsi H = R (H_2, -H_1, 0)
-        w_mu = np.cross(w, mu, axis=0)
-        dR_theta0 = -s2 * c3 * H[0] - s2 * s3 * H[1] - c2 * H[2]
-        gyro = np.stack([
-            RH[2] * w_mu[1] - RH[1] * w_mu[2],
-            dR_theta0 * w_mu[0] + RH[0] * (s1 * w_mu[1] + c1 * w_mu[2]),
-            np.einsum("pi,ip->p", R @ np.array([H[1], -H[0], 0.0]), w_mu),
+        J0, J1, J2 = self.params.J
+        e0, e1, e2 = self._target()
+        v0, v1, v2, w0, w1, w2 = x
+        l0, l1, l2, l3, l4, l5 = lam
+        self._check_theta(v1)
+        s1, c1 = np.sin(v0), np.cos(v0)
+        s2, c2 = np.sin(v1), np.cos(v1)
+        (RH0, RH1, RH2), (a0, a1, b2) = _rotate_H(self.params.H, s1, c1, s2, c2, np.sin(v2), np.cos(v2))
+        m0, m1, m2 = l3 / J0, l4 / J1, l5 / J2
+        sec2 = 1.0 / c2
+        # v' = E(v) w: d/dphi and d/dtheta of E(v) w contracted with lam_v, and E(v)^T lam_v, share p
+        a, b = s1 * w1 + c1 * w2, c1 * w1 - s1 * w2
+        p = sec2 * (s2 * l0 + l2)
+        # mu . (R H x w) = (R H) . n with n = w x mu.  For R = R1(phi) R2(theta) R3(psi),
+        # dR/dphi H = (0, RH2, -RH1), dR/dtheta H = (-b2, s1 RH0, c1 RH0) and
+        # dR/dpsi H = R (H1, -H0, 0) = (c2 a1, s1 s2 a1 - c1 a0, c1 s2 a1 + s1 a0); with
+        # RH1 = c1 a1 + s1 b2 and RH2 = c1 b2 - s1 a1, each dot product with n reads
+        # (k1, k2) = (s1 n1 + c1 n2, c1 n1 - s1 n2)
+        n0, n1, n2 = w1 * m2 - w2 * m1, w2 * m0 - w0 * m2, w0 * m1 - w1 * m0
+        k1, k2 = s1 * n1 + c1 * n2, c1 * n1 - s1 * n2
+        return np.array([
+            W1 * (v0 - e0) + b * p - a * l1 + b2 * k2 - a1 * k1,
+            W1 * (v1 - e1) + a * sec2 * sec2 * (l0 + s2 * l2) - b2 * n0 + RH0 * k1,
+            W1 * (v2 - e2) + a1 * (c2 * n0 + s2 * k1) - a0 * k2,
+            # E(v)^T lam_v + mu x R H
+            W2 * w0 + l0 + m1 * RH2 - m2 * RH1,
+            W2 * w1 + s1 * p + c1 * l1 + m2 * RH0 - m0 * RH2,
+            W2 * w2 + c1 * p - s1 * l1 + m0 * RH1 - m1 * RH0,
         ])
-        H_v = W1 * (v - self._target()[:, None]) + kin + gyro
-        E_t_lam = np.stack([lam_v[0], s1 * s2 / c2 * lam_v[0] + c1 * lam_v[1] + s1 / c2 * lam_v[2],
-                            c1 * s2 / c2 * lam_v[0] - s1 * lam_v[1] + c1 / c2 * lam_v[2]])
-        H_w = W2 * w + E_t_lam + np.cross(mu, RH, axis=0)
-        return np.vstack([H_v, H_w])
 
     def _target(self) -> np.ndarray:
         if not self.reachable:
@@ -181,7 +172,7 @@ class AttitudeProblem(ControlProblem):
 
     def h_x(self, x):
         if not self.terminal:
-            return np.zeros(6)
+            return np.zeros_like(x)
         W4, W5 = self.params.W[3], self.params.W[4]
         return np.concatenate([2 * W4 * x[:3], 2 * W5 * x[3:]])
 
@@ -256,7 +247,10 @@ def null_direction(B: np.ndarray) -> np.ndarray:
 
 
 def conserved_quantity(params: AttitudeParams, C: np.ndarray, v: np.ndarray, w: np.ndarray) -> float:
-    return float(C @ (params.J * w - _rotation_cols(np.asarray(v, dtype=float)[:, None])[0] @ params.H))
+    v = np.asarray(v, dtype=float)
+    s, c = np.sin(v), np.cos(v)
+    RH, _ = _rotate_H(params.H, s[0], c[0], s[1], c[1], s[2], c[2])
+    return float(C @ (params.J * w - np.array(RH)))
 
 
 def optimal_attitude(params: AttitudeParams, v: np.ndarray, w: np.ndarray) -> ReachableTarget:
@@ -332,7 +326,7 @@ class AnalyticProblem(ControlProblem):
         return 0.0
 
     def h_x(self, x):
-        return np.zeros(3)
+        return np.zeros_like(x)
 
     def u_star(self, t, x, lam):
         D = 1.0 + x[0] ** 2 + x[1] ** 2
@@ -342,17 +336,18 @@ class AnalyticProblem(ControlProblem):
         x1, x2, x3 = x
         l1, l2, l3 = lam
         uu = u[0]
-        D = 1.0 + x1**2 + x2**2
-        g = -2 * x1**2 + 2 * x1 * x2 - 2 * x2**2 + 2 * x2 * x3 / D
-        dg1 = -4 * x1 + 2 * x2 - 4 * x1 * x2 * x3 / D**2
-        dg2 = 2 * x1 - 4 * x2 + 2 * x3 / D - 4 * x2**2 * x3 / D**2
-        dg3 = 2 * x2 / D
-        h1 = (-2 * x1 * x3**2 / D**3 - l1 - 2 * l2 * x1 * x3 / D**2
-              + l3 * (dg1 * x3 / D - 2 * g * x1 * x3 / D**2 + 2 * x1 * uu))
-        h2 = (-2 * x2 * x3**2 / D**3 + l1 + l2 * (-1.0 - 2 * x2 * x3 / D**2)
-              + l3 * (dg2 * x3 / D - 2 * g * x2 * x3 / D**2 + 2 * x2 * uu))
-        h3 = x3 / D**2 + l2 / D + l3 * (dg3 * x3 / D + g / D)
-        return np.stack([h1, h2, h3])
+        r = 1.0 / (1.0 + x1 * x1 + x2 * x2)    # 1 / D
+        z = x3 * r                              # x3 / D
+        q = z * r                               # x3 / D^2
+        g = -2 * x1 * x1 + 2 * x1 * x2 - 2 * x2 * x2 + 2 * x2 * z
+        dg1 = -4 * x1 + 2 * x2 - 4 * x1 * x2 * q
+        dg2 = 2 * x1 - 4 * x2 + 2 * z - 4 * x2 * x2 * q
+        # the terms from dD/dx_i = 2 x_i sum to -2 x_i x3 / D^2 (x3 / D + l2 + l3 g)
+        k = q * (z + l2 + l3 * g)
+        h1 = -2 * x1 * k - l1 + l3 * (dg1 * z + 2 * x1 * uu)
+        h2 = -2 * x2 * k + l1 - l2 + l3 * (dg2 * z + 2 * x2 * uu)
+        h3 = q + r * (l2 + l3 * g) + 2 * l3 * x2 * q
+        return np.array([h1, h2, h3])
 
 
 def make_example3() -> AnalyticProblem:

@@ -22,7 +22,7 @@ from hjbsparse.bvp import (
     solve_fixed_mesh,
 )
 from hjbsparse.characteristics import assemble_bvp
-from hjbsparse.problems import make_example1
+from hjbsparse.problems import make_example1, make_example2, make_example3
 
 
 def sin_problem(tol=1e-8):
@@ -290,6 +290,34 @@ def example1_characteristic_bvp():
     return assemble_bvp(make_example1(), 0.0, np.array([0.3, -0.2, 0.4, 0.1, -0.3, 0.2]), tol=1e-8)
 
 
+def example2_characteristic_bvp():
+    return assemble_bvp(make_example2(), 0.0, np.array([0.1, -0.2, 0.3, 0.05, -0.1, 0.08]), tol=1e-8)
+
+
+def example3_characteristic_bvp():
+    return assemble_bvp(make_example3(), 1.0, np.array([0.5, -0.3, 1.0]), tol=1e-8)
+
+
+def per_component_boundary_jacobian(coll, y):
+    """d bc/d ya and d bc/d yb by forward differences, one bc call per perturbed component:
+    the reference for the stacked call."""
+    M = coll.M
+    ya, yb = y[:, 0], y[:, -1]
+    r0 = coll.p.bc(ya, yb)
+    dba = np.empty((M, M))
+    dbb = np.empty((M, M))
+    for m in range(M):
+        da = _SQRT_EPS * max(abs(ya[m]), 1.0)
+        ya_p = ya.copy()
+        ya_p[m] += da
+        dba[:, m] = (coll.p.bc(ya_p, yb) - r0) / da
+        db = _SQRT_EPS * max(abs(yb[m]), 1.0)
+        yb_p = yb.copy()
+        yb_p[m] += db
+        dbb[:, m] = (coll.p.bc(ya, yb_p) - r0) / db
+    return dba, dbb
+
+
 class TestStackedJacobian:
     @pytest.mark.parametrize("make", [example1_characteristic_bvp, expsin_problem],
                              ids=["example1", "expsin"])
@@ -314,6 +342,33 @@ class TestStackedJacobian:
         f = problem.rhs(coll.s, y)
         coll.fd_jacobian(y, f)
         assert calls == [(12, 12 * len(_stage_abscissae(coll.mesh)))]
+
+    @pytest.mark.parametrize("make", [example1_characteristic_bvp, example2_characteristic_bvp,
+                                      example3_characteristic_bvp, expsin_problem, logistic_problem],
+                             ids=["example1", "example2", "example3", "expsin", "logistic"])
+    def test_boundary_jacobian_equals_the_per_component_loop_bit_for_bit(self, make):
+        coll, y, f = perturbed_collocation(make(), 4)
+        _, dba, dbb = coll.jacobian(y, f)
+        want_a, want_b = per_component_boundary_jacobian(coll, y)
+        assert np.array_equal(dba, want_a) and np.array_equal(dbb, want_b)
+
+    def test_one_bc_call_per_jacobian(self):
+        problem = example1_characteristic_bvp()
+        calls = []
+
+        def counted(ya, yb):
+            calls.append((ya.shape, yb.shape))
+            return problem.bc(ya, yb)
+
+        coll, y, f = perturbed_collocation(replace(problem, bc=counted), 4)
+        coll.jacobian(y, f)
+        assert calls == [((12, 25), (12, 25))]
+
+    def test_bc_dropping_the_point_axis_raises(self):
+        # right for one point, (M,) for columns: the stacked call would misread it
+        pointwise = oscillator_with_bc(lambda ya, yb: np.stack([ya[0], yb[0] - 1.0]).reshape(2, -1)[:, 0])
+        with pytest.raises(ValueError, match="bc returned shape"):
+            solve(pointwise)
 
 
 def perturbed_collocation(problem, intervals):
@@ -416,5 +471,5 @@ class TestCondensedSolve:
             solve(periodic)
 
     def test_bc_row_reading_neither_end_is_newton_diverged(self):
-        singular = oscillator_with_bc(lambda ya, yb: np.array([ya[0], 1.0]))
+        singular = oscillator_with_bc(lambda ya, yb: np.array([ya[0], np.ones_like(ya[0])]))
         assert solve(singular).status is BvpStatus.NEWTON_DIVERGED

@@ -47,7 +47,7 @@ class ToyLqr(ControlProblem):
         return 0.5 * float(x[0]) ** 2
 
     def h_x(self, x):
-        return np.array([float(x[0])])
+        return np.array(x, dtype=float)
 
     def u_star(self, t, x, lam):
         return -lam
@@ -82,7 +82,7 @@ class PureDecay(ControlProblem):
         return float(x[0]) ** 2
 
     def h_x(self, x):
-        return np.array([2.0 * float(x[0])])
+        return 2.0 * np.asarray(x, dtype=float)
 
     def u_star(self, t, x, lam):
         return np.zeros((1, x.shape[1]))

@@ -23,11 +23,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_traced_pass_exits_zero_and_checks_out():
-    out = subprocess.run([sys.executable, "perfbench/run.py", "--workload", "ex1-q7", "--seed", "1",
+# both solver workloads: their problems' callbacks differ (attitude and Example III)
+@pytest.mark.parametrize("workload", ["ex1-q7", "ex3-q7"])
+def test_traced_pass_exits_zero_and_checks_out(workload):
+    out = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1",
                           "--seconds", "1", "--trace", "1"],
                          cwd=ROOT, capture_output=True, text=True, timeout=600)
     assert out.returncode == 0, out.stderr[-2000:]

@@ -4,15 +4,14 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from attitude_oracle import column_f, rotation, slsqp_attitude
-from example3_oracle import example3_control, example3_costate
+from attitude_oracle import column_f, column_H_x, rotation, rotation_cols, slsqp_attitude
+from example3_oracle import example3_control, example3_costate, example3_power_H_x
 from hamiltonian_oracle import central_difference, fd_H_x, hamiltonian
 
 from hjbsparse.exceptions import InfeasibleTargetError, SingularityError, TargetSolveError
 from hjbsparse.problems import (
     AnalyticProblem,
     AttitudeProblem,
-    _rotation_cols,
     conserved_quantity,
     example3_value,
     make_example1,
@@ -45,7 +44,7 @@ def rk4_trajectory(problem, x0, u_fn, t_end, dt):
 
 class TestKinematics:
     def test_zero_rotation(self):
-        assert np.allclose(_rotation_cols(np.zeros((3, 1)))[0], np.eye(3))
+        assert np.allclose(rotation_cols(np.zeros((3, 1)))[0], np.eye(3))
         # E(0) = I: at v = 0 the Euler rates are the body rates
         w = np.array([0.3, -0.7, 1.1])
         vdot = make_example1().f(0.0, np.concatenate([np.zeros(3), w]), np.zeros(3))[:3]
@@ -53,7 +52,7 @@ class TestKinematics:
 
     def test_rotation_orthogonal_unit_determinant(self):
         rng = np.random.default_rng(1)
-        R = _rotation_cols(rng.uniform(-math.pi / 3, math.pi / 3, (10_000, 3)).T)
+        R = rotation_cols(rng.uniform(-math.pi / 3, math.pi / 3, (10_000, 3)).T)
         assert np.abs(R @ R.transpose(0, 2, 1) - np.eye(3)).max() <= 1e-12
         assert np.abs(np.linalg.det(R) - 1.0).max() <= 1e-12
 
@@ -154,7 +153,8 @@ class TestShapeContract:
 
     Slicing x[:3] of a 1-D state and subtracting a (3, 1) target, or dividing
     by J[:, None], broadcasts a point into a (3, 3) matrix; the shapes are
-    asserted so that such a trap fails here.
+    asserted so that such a trap fails here.  h_x takes columns as well, as
+    the boundary Jacobian evaluates it.
     """
 
     @pytest.mark.parametrize("name", sorted(SHAPE_PROBLEMS))
@@ -191,6 +191,17 @@ class TestShapeContract:
         _, x, u = random_inputs(problem, 200, seed=20)
         f, ref = problem.f(0.0, x.T, u.T), column_f(problem, x.T, u.T)
         assert np.abs(f - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("name", sorted(SHAPE_PROBLEMS))
+    def test_h_x_columns_equal_the_per_column_calls(self, name):
+        # P = n is where a (n,) result broadcasts against (n, P) without an error;
+        # 4n + 1 = 2M + 1 is the boundary Jacobian's column count for the 2n-dimensional BVP
+        problem = SHAPE_PROBLEMS[name]()
+        for P in (problem.n, 4 * problem.n + 1):
+            _, x, _ = random_inputs(problem, P, seed=21)
+            got = problem.h_x(x.T)
+            assert got.shape == (problem.n, P)
+            assert np.array_equal(got, np.stack([problem.h_x(point) for point in x], axis=1))
 
 
 class TestProblemFactories:
@@ -254,6 +265,15 @@ class TestAttitudeHamiltonianGradient:
         ref = fd_H_x(problem, 0.3, x, lam, u)
         assert got.shape == ref.shape == (6, 200)
         assert np.abs(got - ref).max() <= 1e-6 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("name", ["example1", "example2"])
+    def test_closed_form_matches_the_rotation_matrix_oracle(self, name):
+        problem = SHAPE_PROBLEMS[name]()
+        _, x, u = random_inputs(problem, 5000, seed=22)
+        lam = np.random.default_rng(23).uniform(-2, 2, (6, 5000))
+        got, ref = problem.H_x(0.0, x.T, lam, u.T), column_H_x(problem, x.T, lam)
+        assert got.shape == ref.shape == (6, 5000)
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
     def test_unspecialized_reachable_target_raises(self):
         problem = make_example2()
@@ -323,6 +343,14 @@ class TestExample3:
         got = p.H_x(0.7, x, lam, u)
         ref = fd_H_x(p, 0.7, x, lam, u)
         assert np.abs(got - ref).max() < 1e-8
+
+    def test_H_x_matches_the_power_form(self):
+        p = make_example3()
+        t, x, u = random_inputs(p, 5000, seed=24)
+        lam = np.random.default_rng(25).uniform(-1, 1, (3, 5000))
+        got, ref = p.H_x(t, x.T, lam, u.T), example3_power_H_x(x.T, lam, u.T)
+        assert got.shape == ref.shape == (3, 5000)
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
     def test_closed_form_satisfies_hjb(self):
         p = make_example3()
