@@ -9,6 +9,14 @@ forward-difference Jacobians.  A solve ends when the sampled residual of the
 collocation polynomial is within the tolerance on every interval; until
 then, each next mesh is chosen to spread that residual evenly (_select_mesh).
 
+The damping is Armijo backtracking (Deuflhard, Newton Methods for Nonlinear
+Problems, Springer 2004, ch. 3) on one merit, the max-norm of the scaled
+residual, which is also the stop test.  The scale follows the iterate, so
+after each accepted step the norm is re-taken under the new scale: both
+sides of every test are the same norm.  A mesh on which Newton fails ends
+the solve as NewtonDiverged; the caller's horizon continuation
+(characteristics.solve_point) is the one fallback.
+
 The system has one block layout, almost block diagonal (see _Collocation):
 each interval owns three block rows of the residual and one dense (3M x 4M)
 Jacobian block.  Residual, Jacobian and residual sampling are whole-mesh
@@ -260,7 +268,7 @@ class _Collocation:
         return max(float(coll.max()) if coll.size else 0.0, float(bc.max()))
 
     def newton(self, y0: np.ndarray, newton_tol: float, max_iter: int):
-        """Damped Newton with Armijo backtracking on the residual norm."""
+        """Damped Newton with Armijo backtracking on the scaled max-norm residual."""
         y = y0.copy()
         f = self.eval_f(y)
         F = self.residual(y, f)
@@ -287,8 +295,9 @@ class _Collocation:
                     continue
                 norm_try = self.scaled_norm(F_try, scale)
                 if np.isfinite(norm_try) and norm_try <= (1.0 - 1e-4 * alpha) * norm:
-                    y, f, F, norm = y_try, f_try, F_try, norm_try
+                    y, f, F = y_try, f_try, F_try
                     scale = self.scale(y, f)
+                    norm = self.scaled_norm(F, scale)   # under the new scale, as the next test reads it
                     improved = True
                     break
                 alpha *= 0.5
@@ -411,35 +420,24 @@ def solve(problem: BvpProblem) -> BvpSolution:
     """Solve with adaptive mesh selection until the sampled residual meets tol.
 
     Deterministic: fixed iteration order, no randomness.  Failure is reported
-    through the status field (NewtonDiverged / MaxMesh), never silently.
+    through the status field, never silently: NewtonDiverged when Newton fails
+    on a mesh (no other mesh is tried), MaxMesh when the mesh budget runs out.
     """
     newton_tol = max(1e-13, 0.01 * problem.tol)
     mesh = np.linspace(problem.interval[0], problem.interval[1], 11)
     y = _initial_y(problem, _stage_abscissae(mesh))
     total_iters = 0
     meshes = 0
-    restarts = 0
 
     while True:
         meshes += 1
         coll = _Collocation(problem, mesh)
         y_sol, f_sol, norm, iters, ok = coll.newton(y, newton_tol, _MAX_NEWTON)
         total_iters += iters
-        if not ok:
-            # restart on a uniformly doubled mesh from the original guess
-            restarts += 1
-            if restarts > 3 or 2 * (len(mesh) - 1) + 1 > _MAX_NODES:
-                est = float(coll.interval_residuals(y_sol, f_sol).max())
-                return _pack_solution(coll, y_sol, f_sol, BvpStatus.NEWTON_DIVERGED, est, total_iters, meshes)
-            fine = np.empty(2 * (len(mesh) - 1) + 1)
-            fine[::2] = mesh
-            fine[1::2] = 0.5 * (mesh[:-1] + mesh[1:])
-            mesh = fine
-            y = _initial_y(problem, _stage_abscissae(mesh))
-            continue
-
         res = coll.interval_residuals(y_sol, f_sol)
         est = float(res.max()) if len(res) else 0.0
+        if not ok:
+            return _pack_solution(coll, y_sol, f_sol, BvpStatus.NEWTON_DIVERGED, est, total_iters, meshes)
         if est <= problem.tol:
             return _pack_solution(coll, y_sol, f_sol, BvpStatus.CONVERGED, est, total_iters, meshes)
 

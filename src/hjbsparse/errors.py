@@ -54,24 +54,17 @@ def _level_lambdas(family: NodeFamily, max_level: int, mode: str) -> list[float]
     return [lebesgue_constant(family, i) for i in range(1, max_level + 1)]
 
 
-def s_values(lambdas: list[float], d: int, q: int) -> dict[int, float]:
-    """S_l for all l <= q by dynamic programming over level compositions."""
-    poly = level_sum_coefficients(lambdas, d, q)
-    # S_l = 0 below l = d (no compositions of l into d positive parts)
-    return {l: poly.get(l, 0.0) for l in range(min(d, q - d + 1), q + 1)}
-
-
 def worst_case_coefficient(family: NodeFamily, d: int, q: int, lebesgue_mode: str = "bound") -> BoundReport:
     """Coefficient C with ||e_BVP||_inf < eps * C for per-point errors <= eps."""
     if q < d or d < 1:
         raise GridSpecError(f"need q >= d >= 1, got q={q}, d={d}")
     lambdas = _level_lambdas(family, q - d + 1, lebesgue_mode)
-    S = s_values(lambdas, d, q)
-    coeff = sum(math.comb(d - 1, q - l) * S[l] for l in range(q - d + 1, q + 1))
+    S = level_sum_coefficients(lambdas, d, q)      # S_l = 0 below l = d: no composition of l into d parts
+    coeff = sum(math.comb(d - 1, q - l) * S.get(l, 0.0) for l in range(q - d + 1, q + 1))
     return BoundReport(
         family=family.value, d=d, q=q, lebesgue_mode=lebesgue_mode,
         lambdas=[float(v) for v in lambdas],
-        S={l: float(S[l]) for l in range(q - d + 1, q + 1)},
+        S={l: float(S.get(l, 0.0)) for l in range(q - d + 1, q + 1)},
         coefficient=float(coeff),
     )
 

@@ -472,4 +472,6 @@ class TestCondensedSolve:
 
     def test_bc_row_reading_neither_end_is_newton_diverged(self):
         singular = oscillator_with_bc(lambda ya, yb: np.array([ya[0], np.ones_like(ya[0])]))
-        assert solve(singular).status is BvpStatus.NEWTON_DIVERGED
+        sol = solve(singular)
+        assert sol.status is BvpStatus.NEWTON_DIVERGED
+        assert sol.meshes_tried == 1          # a failed Newton mesh ends the solve; no finer mesh is tried

@@ -163,6 +163,24 @@ class TestSolvePoint:
         assert rec.converged
         assert abs(rec.V) <= 1e-6
 
+    @pytest.mark.parametrize("pid", [245, 248])
+    def test_example3_hard_points_converge(self, ex3, pid):
+        # t0 = 0, x = (0, 0, -+1.848) converge only if every Armijo test compares two
+        # residual norms under one scale
+        t0, *x0 = build_grid(NodeFamily.CGL, 4, 9, ex3.domain).phys[pid]
+        assert (t0, x0[0], x0[1]) == (0.0, 0.0, 0.0) and abs(x0[2]) == pytest.approx(1.848, abs=1e-3)
+        rec = solve_point(ex3, t0, np.array(x0), tol=1e-8, point_id=pid)
+        assert rec.status == BvpStatus.CONVERGED.value
+        assert rec.V == pytest.approx(problems.example3_value(t0, *x0), abs=1e-6)
+
+    def test_example1_point_converges_without_continuation(self, ex1):
+        # x = (pi/6, pi/6, 0, 0, pi/8, pi/8) needs the max-norm merit: a 2-norm line search
+        # fails it at tol 1e-5..1e-8
+        x0 = build_grid(NodeFamily.CGL, 6, 10, ex1.domain).phys[1164]
+        assert np.allclose(x0, [math.pi / 6, math.pi / 6, 0.0, 0.0, math.pi / 8, math.pi / 8], rtol=0, atol=1e-15)
+        rec = solve_point(ex1, 0.0, x0, tol=1e-6, point_id=1164)
+        assert rec.converged and not rec.cont
+
     def test_degenerate_horizon_uses_terminal_data(self, ex3):
         rec = solve_point(ex3, 5.0, np.array([1.0, 1.0, 1.0]), tol=1e-9)
         assert rec.converged

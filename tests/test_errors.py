@@ -10,12 +10,11 @@ from hjbsparse.characteristics import CharacteristicRecord
 from hjbsparse.errors import (
     coefficient_growth_check,
     mc_ebvp,
-    s_values,
     worst_case_coefficient,
     validate,
 )
 from hjbsparse.exceptions import GridSpecError, ValidationError
-from hjbsparse.grid import NodeFamily, build_grid
+from hjbsparse.grid import NodeFamily, build_grid, level_sum_coefficients
 from hjbsparse.interp import lebesgue_bound, lebesgue_constant
 from hjbsparse.util import make_rng
 
@@ -61,7 +60,7 @@ class TestWorstCaseCoefficient:
     def test_s_values_match_brute_force(self):
         lambdas = [1.0] + [lebesgue_bound(i) for i in range(2, 13)]
         for d in (2, 3, 4):
-            got = s_values(lambdas[: 12 - d + 1], d, 12)
+            got = level_sum_coefficients(lambdas[: 12 - d + 1], d, 12)
             for l in range(d, 13):
                 brute = 0.0
                 for combo in product(range(1, l - d + 2), repeat=d):
