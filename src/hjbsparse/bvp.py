@@ -5,7 +5,8 @@ from the collocation definition (integrated Lagrange bases on the Lobatto
 abscissae) rather than transcribed from a table.  On every mesh subinterval
 the solution polynomial satisfies the ODE exactly at the four Lobatto points;
 the resulting global system is solved by a damped Newton iteration with
-forward-difference Jacobians.  A solve ends when the sampled residual of the
+forward-difference Jacobians, each factored once and kept for as many steps
+as contract well.  A solve ends when the sampled residual of the
 collocation polynomial is within the tolerance on every interval; until
 then, each next mesh is chosen to spread that residual evenly (_select_mesh).
 
@@ -13,9 +14,14 @@ The damping is Armijo backtracking (Deuflhard, Newton Methods for Nonlinear
 Problems, Springer 2004, ch. 3) on one merit, the max-norm of the scaled
 residual, which is also the stop test.  The scale follows the iterate, so
 after each accepted step the norm is re-taken under the new scale: both
-sides of every test are the same norm.  A mesh on which Newton fails ends
-the solve as NewtonDiverged; the caller's horizon continuation
-(characteristics.solve_point) is the one fallback.
+sides of every test are the same norm.  The Jacobian's factors are kept
+while full steps cut the norm to _REFRESH_RATIO of its value or less (the
+fixed-Jacobian iteration of COLNEW: Bader & Ascher, SIAM J. Sci. Stat.
+Comput. 8, 1987) and refreshed after any other step; a kept-factor step
+that fails its one full-step trial is retried on fresh factors.  A mesh on
+which a fresh-Jacobian step fails ends the solve as NewtonDiverged; the
+caller's horizon continuation (characteristics.solve_point) is the one
+fallback.
 
 The system has one block layout, almost block diagonal (see _Collocation):
 each interval owns three block rows of the residual and one dense (3M x 4M)
@@ -25,13 +31,16 @@ of the states as M x P columns), one stacked bc call per Jacobian (the two
 ends and their 2M perturbed copies as 2M + 1 columns) and one rhs call per
 residual sampling (5K columns).
 
-Each Newton step is a condensed solve, as in COLSYS/COLNEW (Ascher, Mattheij
-& Russell, Numerical Solution of BVPs for ODEs, SIAM 1995, ch. 7): one
-batched dense solve per interval eliminates its two interior collocation
-points, which leaves one M x 2M block coupling mesh node k to node k+1.  With
+The Newton system is condensed, as in COLSYS/COLNEW (Ascher, Mattheij &
+Russell, Numerical Solution of BVPs for ODEs, SIAM 1995, ch. 7), and split
+into a factor step and an apply step (_Factors).  Factoring inverts every
+interval's interior block, which eliminates its two interior collocation
+points and leaves one M x 2M block coupling mesh node k to node k+1; with
 the left boundary rows first and the right ones last, the system over the
-mesh nodes is banded and takes one LAPACK gbsv call.  This needs separated
-boundary conditions: every bc component reads ya only or yb only.
+mesh nodes is banded and takes one LAPACK gbtrf call.  Applying the factors
+to a residual costs O(K M^2): small matrix-vector products and one gbtrs
+call.  This needs separated boundary conditions: every bc component reads
+ya only or yb only.
 
 Error control is residual based.  The scaled residual uses a componentwise
 mixed absolute/relative scale with floor 1.0:
@@ -57,11 +66,12 @@ from typing import Callable
 
 import numpy as np
 from numpy.polynomial import Polynomial
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 from scipy.sparse.linalg import splu  # noqa: F401  unused; perfbench/tracing.py wraps bvp.splu by name
 
 _SQRT_EPS = math.sqrt(np.finfo(float).eps)
 _MAX_NEWTON = 50                              # Newton iterations per mesh
+_REFRESH_RATIO = 0.25                         # a step leaving more of the scaled norm than this refreshes the Jacobian
 _MAX_NODES = 10_000                           # mesh nodes before a solve gives up (MaxMesh)
 _MESH_P = 4                                   # the residual's assumed order in h, for mesh selection
 _MESH_SIGMA = 0.25                            # target residual per new interval, as a fraction of tol
@@ -268,24 +278,37 @@ class _Collocation:
         return max(float(coll.max()) if coll.size else 0.0, float(bc.max()))
 
     def newton(self, y0: np.ndarray, newton_tol: float, max_iter: int):
-        """Damped Newton with Armijo backtracking on the scaled max-norm residual."""
+        """Damped Newton with Armijo backtracking on the scaled max-norm residual.
+
+        The Jacobian's factors are kept while full steps cut the norm to
+        _REFRESH_RATIO of its value or less, and refreshed after any other step.
+        A kept-factor step gets one full-step trial; when that trial fails, the
+        factors are refreshed at the same iterate.  So only a fresh-Jacobian
+        step can end the mesh as failed.
+        """
         y = y0.copy()
         f = self.eval_f(y)
         F = self.residual(y, f)
         scale = self.scale(y, f)
         norm = self.scaled_norm(F, scale)
+        factors = None
         for it in range(max_iter):
             if norm <= newton_tol:
                 return y, f, norm, it, True
-            try:
-                delta = _condensed_solve(*self.jacobian(y, f), F)
-            except np.linalg.LinAlgError:
-                return y, f, norm, it, False
-            if not np.all(np.isfinite(delta)):
-                return y, f, norm, it, False
-            step = delta.T
+            fresh = factors is None
+            if fresh:
+                try:
+                    factors = _Factors(*self.jacobian(y, f))
+                except np.linalg.LinAlgError:
+                    return y, f, norm, it, False
+            step = factors.step(F).T
+            if not np.all(np.isfinite(step)):
+                if fresh:
+                    return y, f, norm, it, False
+                factors = None
+                continue
             alpha, improved = 1.0, False
-            for _ in range(9):
+            for _ in range(9 if fresh else 1):
                 y_try = y + alpha * step
                 try:
                     f_try = self.eval_f(y_try)
@@ -295,6 +318,8 @@ class _Collocation:
                     continue
                 norm_try = self.scaled_norm(F_try, scale)
                 if np.isfinite(norm_try) and norm_try <= (1.0 - 1e-4 * alpha) * norm:
+                    if alpha < 1.0 or norm_try > _REFRESH_RATIO * norm:
+                        factors = None
                     y, f, F = y_try, f_try, F_try
                     scale = self.scale(y, f)
                     norm = self.scaled_norm(F, scale)   # under the new scale, as the next test reads it
@@ -302,7 +327,9 @@ class _Collocation:
                     break
                 alpha *= 0.5
             if not improved:
-                return y, f, norm, it + 1, norm <= 10.0 * newton_tol
+                if fresh:
+                    return y, f, norm, it + 1, norm <= 10.0 * newton_tol
+                factors = None
         return y, f, norm, max_iter, norm <= 10.0 * newton_tol
 
     def interval_residuals(self, y: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -320,69 +347,79 @@ class _Collocation:
 
 @lru_cache(maxsize=4)
 def _band_index(K: int, M: int, m_a: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flat positions in _condensed_solve's band array of the left bc rows, the K
-    Schur blocks and the right bc rows, each in C order of its values."""
+    """Flat positions in _Factors' band array, in LAPACK gbtrf's layout, of the left
+    bc rows, the K Schur blocks and the right bc rows, each in C order of its values."""
     kl, ku = m_a + M - 1, max(2 * M - 1 - m_a, M - 1)
-    ncol = (K + 1) * M
+    ncol, diag = (K + 1) * M, kl + ku        # ab[kl + ku + r - c, c] = J_nodes[r, c]
     i, j, j2 = np.arange(M)[:, None], np.arange(M), np.arange(2 * M)
-    at_a = (ku + i[:m_a] - j) * ncol + j
-    at_s = (ku + m_a + i - j2) * ncol + M * np.arange(K)[:, None, None] + j2
-    at_b = (ku + m_a + i[: M - m_a] - j) * ncol + K * M + j
+    at_a = (diag + i[:m_a] - j) * ncol + j
+    at_s = (diag + m_a + i - j2) * ncol + M * np.arange(K)[:, None, None] + j2
+    at_b = (diag + m_a + i[: M - m_a] - j) * ncol + K * M + j
     out = tuple(a.ravel() for a in (at_a, at_s, at_b))
     for a in out:
         a.flags.writeable = False
     return out
 
 
-def _condensed_solve(blocks: np.ndarray, dba: np.ndarray, dbb: np.ndarray, F: np.ndarray) -> np.ndarray:
-    """The Newton step delta (3K+1, M) of J delta = -F, J given by _Collocation.jacobian.
+class _Factors:
+    """One Newton Jacobian J, given by _Collocation.jacobian, factored for the step J delta = -F.
 
     Rows 0..2M of blocks[k] are stages 2/3, rows 2M..3M stage 4; columns 0..M
-    and 3M..4M are nodes k and k+1.  With X = A^-1 [A_0 | A_3 | F_23] from the
-    stage-2/3 rows (A: interior columns M..3M, A_0/A_3: node columns), the
-    interior step is -(X_F + X_0 d_k + X_3 d_k+1) and the stage-4 rows' Schur
-    complement S = [E_0 | E_3 | F_4] - E X couples node k to node k+1 only.
-    Left bc rows (d bc/d yb exactly zero), then the K blocks S, then the right
-    bc rows make the node system banded: kl = m_a + M - 1, ku = max(2M - 1 -
-    m_a, M - 1) for m_a left rows.  Raises LinAlgError when a solve meets an
+    and 3M..4M are nodes k and k+1.  The factor step (the constructor) keeps
+    A^-1 of the stage-2/3 rows' interior columns (A: columns M..3M), X0 =
+    A^-1 [A_0 | A_3] (A_0/A_3: the node columns), the stage-4 rows' interior
+    columns E, and the band LU of the node system, whose block k is the Schur
+    complement [E_0 | E_3] - E X0 coupling node k to node k+1 only.  Left bc
+    rows (d bc/d yb exactly zero), then the K blocks, then the right bc rows
+    make that system banded: kl = m_a + M - 1, ku = max(2M - 1 - m_a, M - 1)
+    for m_a left rows.  Raises LinAlgError when a factorization meets an
     exactly singular matrix, ValueError when a bc row reads both ends.
+
+    The apply step (step) costs O(K M^2) and calls neither rhs nor bc: X_F =
+    A^-1 F_23, the Schur right-hand side F_4 - E X_F, one band solve for the
+    node steps d, and the interior steps -(X_F + X0 [d_k; d_k+1]).
     """
-    K, M = blocks.shape[0], dba.shape[0]
-    left = ~dbb.any(axis=1)
-    if np.any(~left & dba.any(axis=1)):
-        raise ValueError("the boundary conditions are not separated: "
-                         "a bc component depends on both ya and yb")
-    F_coll = F[: 3 * K * M].reshape(K, 3 * M)
-    RHS = np.empty((K, 2 * M, 2 * M + 1))                                # A_0 | A_3 | F_23
-    RHS[:, :, :M] = blocks[:, : 2 * M, :M]
-    RHS[:, :, M : 2 * M] = blocks[:, : 2 * M, 3 * M :]
-    RHS[:, :, 2 * M] = F_coll[:, : 2 * M]
-    X = np.linalg.solve(blocks[:, : 2 * M, M : 3 * M], RHS)              # (K, 2M, 2M+1)
-    S = np.negative(blocks[:, 2 * M :, M : 3 * M] @ X)                   # (K, M, 2M+1)
-    S[:, :, :M] += blocks[:, 2 * M :, :M]
-    S[:, :, M : 2 * M] += blocks[:, 2 * M :, 3 * M :]
-    S[:, :, 2 * M] += F_coll[:, 2 * M :]
 
-    m_a = int(left.sum())
-    kl, ku = m_a + M - 1, max(2 * M - 1 - m_a, M - 1)
-    ab = np.zeros((kl + ku + 1) * (K + 1) * M)         # ab[ku + r - c, c] = J_nodes[r, c], flat
-    at_a, at_s, at_b = _band_index(K, M, m_a)
-    ab[at_a] = dba[left].ravel()
-    ab[at_s] = S[:, :, : 2 * M].ravel()
-    ab[at_b] = dbb[~left].ravel()
-    F_bc = F[3 * K * M :]
-    rhs = -np.concatenate([F_bc[left], S[:, :, 2 * M].ravel(), F_bc[~left]])
-    # unchecked: a non-finite Jacobian gives a non-finite step, which newton rejects
-    z = solve_banded((kl, ku), ab.reshape(kl + ku + 1, -1), rhs, overwrite_ab=True, overwrite_b=True,
-                     check_finite=False).reshape(K + 1, M)
+    def __init__(self, blocks: np.ndarray, dba: np.ndarray, dbb: np.ndarray):
+        self.K, self.M = K, M = blocks.shape[0], dba.shape[0]
+        self.left = left = ~dbb.any(axis=1)
+        if np.any(~left & dba.any(axis=1)):
+            raise ValueError("the boundary conditions are not separated: "
+                             "a bc component depends on both ya and yb")
+        self.A_inv = np.linalg.inv(blocks[:, : 2 * M, M : 3 * M])                          # (K, 2M, 2M)
+        self.X0 = self.A_inv @ np.concatenate([blocks[:, : 2 * M, :M], blocks[:, : 2 * M, 3 * M :]], axis=2)
+        self.E = blocks[:, 2 * M :, M : 3 * M]                                            # (K, M, 2M)
+        S = np.concatenate([blocks[:, 2 * M :, :M], blocks[:, 2 * M :, 3 * M :]], axis=2) - self.E @ self.X0
 
-    nodes = np.concatenate([z[:-1], z[1:]], axis=1)[:, :, None]           # (K, 2M, 1)
-    interior = -(X[:, :, 2 * M] + (X[:, :, : 2 * M] @ nodes)[:, :, 0])    # (K, 2M)
-    delta = np.empty((3 * K + 1, M))
-    delta[::3] = z
-    delta[1::3] = interior[:, :M]
-    delta[2::3] = interior[:, M:]
-    return delta
+        m_a = int(left.sum())
+        self.kl, self.ku = kl, ku = m_a + M - 1, max(2 * M - 1 - m_a, M - 1)
+        ab = np.zeros((2 * kl + ku + 1) * (K + 1) * M)     # rows 0..kl hold gbtrf's fill-in
+        at_a, at_s, at_b = _band_index(K, M, m_a)
+        ab[at_a] = dba[left].ravel()
+        ab[at_s] = S.ravel()
+        ab[at_b] = dbb[~left].ravel()
+        # unchecked: a non-finite Jacobian gives a non-finite step, which newton rejects
+        self.lu, self.piv, info = dgbtrf(ab.reshape(2 * kl + ku + 1, -1), kl, ku, overwrite_ab=True)
+        if info > 0:
+            raise np.linalg.LinAlgError("singular node system")
+
+    def step(self, F: np.ndarray) -> np.ndarray:
+        """The Newton step delta (3K+1, M) for residual F on the factored Jacobian."""
+        K, M = self.K, self.M
+        F_coll = F[: 3 * K * M].reshape(K, 3 * M)
+        X_F = (self.A_inv @ F_coll[:, : 2 * M, None])[:, :, 0]                  # (K, 2M)
+        S_F = F_coll[:, 2 * M :] - (self.E @ X_F[:, :, None])[:, :, 0]          # (K, M)
+        F_bc = F[3 * K * M :]
+        rhs = -np.concatenate([F_bc[self.left], S_F.ravel(), F_bc[~self.left]])
+        z = dgbtrs(self.lu, self.kl, self.ku, rhs, self.piv, overwrite_b=True)[0].reshape(K + 1, M)
+
+        nodes = np.concatenate([z[:-1], z[1:]], axis=1)[:, :, None]           # (K, 2M, 1)
+        interior = -(X_F + (self.X0 @ nodes)[:, :, 0])                        # (K, 2M)
+        delta = np.empty((3 * K + 1, M))
+        delta[::3] = z
+        delta[1::3] = interior[:, :M]
+        delta[2::3] = interior[:, M:]
+        return delta
 
 
 def _select_mesh(mesh: np.ndarray, res: np.ndarray, tol: float) -> np.ndarray:

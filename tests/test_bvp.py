@@ -14,7 +14,7 @@ from hjbsparse.bvp import (
     BvpProblem,
     BvpStatus,
     _Collocation,
-    _condensed_solve,
+    _Factors,
     _select_mesh,
     _stage_abscissae,
     empirical_order,
@@ -454,16 +454,28 @@ class TestCondensedSolve:
     @pytest.mark.parametrize("intervals", [4, 16])
     @pytest.mark.parametrize("make", [example1_characteristic_bvp, expsin_problem, logistic_problem],
                              ids=["example1", "expsin", "logistic"])
-    def test_step_equals_the_dense_solve(self, make, intervals):
+    def test_factor_and_apply_equals_the_dense_solve(self, make, intervals):
         # example1's bc lists x(t0), lambda(T), z(t0): its left rows are not contiguous;
         # logistic has left rows only (m_a = M)
         coll, y, f = perturbed_collocation(make(), intervals)
         blocks, dba, dbb = coll.jacobian(y, f)
         F = coll.residual(y, f)
         want = np.linalg.solve(dense_jacobian(coll, blocks, dba, dbb), -F).reshape(-1, coll.M)
-        got = _condensed_solve(blocks, dba, dbb, F)
+        got = _Factors(blocks, dba, dbb).step(F)
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+    @pytest.mark.parametrize("make", [example1_characteristic_bvp, expsin_problem, logistic_problem],
+                             ids=["example1", "expsin", "logistic"])
+    def test_apply_on_kept_factors_equals_a_fresh_factorization(self, make):
+        coll, y, f = perturbed_collocation(make(), 8)
+        J = coll.jacobian(y, f)
+        kept = _Factors(*J)
+        kept.step(coll.residual(y, f))
+        y_new = y + np.random.default_rng(1).uniform(-0.1, 0.1, y.shape)
+        F_new = coll.residual(y_new, coll.eval_f(y_new))
+        want = _Factors(*J).step(F_new)
+        assert np.abs(kept.step(F_new) - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_coupled_bc_raises(self):
         periodic = oscillator_with_bc(lambda ya, yb: np.array([ya[0] - yb[0], ya[1] - 1.0]))
@@ -475,3 +487,47 @@ class TestCondensedSolve:
         sol = solve(singular)
         assert sol.status is BvpStatus.NEWTON_DIVERGED
         assert sol.meshes_tried == 1          # a failed Newton mesh ends the solve; no finer mesh is tried
+
+
+def count_jacobians(monkeypatch):
+    """The _Collocation of every jacobian call, in call order."""
+    calls = []
+    jacobian = _Collocation.jacobian
+
+    def counted(self, y, f):
+        calls.append(self)
+        return jacobian(self, y, f)
+
+    monkeypatch.setattr(_Collocation, "jacobian", counted)
+    return calls
+
+
+class TestKeptFactors:
+    def test_a_linear_problem_takes_one_jacobian_per_mesh(self, monkeypatch):
+        calls = count_jacobians(monkeypatch)
+        sol = solve(sin_problem(1e-10))
+        assert sol.status is BvpStatus.CONVERGED and sol.meshes_tried > 1
+        assert len(calls) == sol.meshes_tried
+        assert len({id(coll) for coll in calls}) == len(calls)
+
+    def test_a_failed_kept_factor_step_refreshes_the_jacobian(self, monkeypatch):
+        # y' = 0, ya_0 = 100, ya_1^3 = 1 from y = (0, 1/2): the first step solves the linear
+        # row and cuts the norm 100 -> 3.63, so its factors are kept; the cubic row's
+        # Jacobian has grown 11x meanwhile, and the kept step overshoots to y_1 = -3.2
+        problem = BvpProblem(ndim=2, rhs=lambda s, y: np.zeros_like(y),
+                             bc=lambda ya, yb: np.stack([ya[0] - 100.0, ya[1] ** 3 - 1.0]),
+                             interval=(0.0, 1.0), tol=1e-8, guess=lambda s: np.stack([0.0 * s, 0.5 + 0.0 * s]))
+        events = count_jacobians(monkeypatch)
+        step = _Factors.step
+
+        def logged(self, F):
+            events.append(F.copy())
+            return step(self, F)
+
+        monkeypatch.setattr(_Factors, "step", logged)
+        sol = solve(problem)
+        assert sol.status is BvpStatus.CONVERGED
+        assert sol.y[:, 0] == pytest.approx([100.0, 1.0], rel=1e-10)
+        kinds = ["J" if isinstance(e, _Collocation) else "S" for e in events]
+        assert kinds[:5] == ["J", "S", "S", "J", "S"]
+        assert np.array_equal(events[2], events[4])     # the retry starts from the rejected step's iterate

@@ -7,6 +7,7 @@ import pytest
 from hamiltonian_oracle import hamiltonian
 from scipy.integrate import quad
 
+import hjbsparse.bvp as bvpmod
 import hjbsparse.characteristics as chmod
 import hjbsparse.problems as problems
 from hjbsparse.bvp import BvpStatus, solve as bvp_solve
@@ -17,6 +18,7 @@ from hjbsparse.characteristics import (
     assemble_bvp,
     fit_feedback,
     load_jsonl,
+    point_args,
     solve_point,
     sweep,
 )
@@ -173,13 +175,28 @@ class TestSolvePoint:
         assert rec.status == BvpStatus.CONVERGED.value
         assert rec.V == pytest.approx(problems.example3_value(t0, *x0), abs=1e-6)
 
-    def test_example1_point_converges_without_continuation(self, ex1):
+    def test_example1_point_converges_without_continuation(self, ex1, monkeypatch):
         # x = (pi/6, pi/6, 0, 0, pi/8, pi/8) needs the max-norm merit: a 2-norm line search
         # fails it at tol 1e-5..1e-8
         x0 = build_grid(NodeFamily.CGL, 6, 10, ex1.domain).phys[1164]
         assert np.allclose(x0, [math.pi / 6, math.pi / 6, 0.0, 0.0, math.pi / 8, math.pi / 8], rtol=0, atol=1e-15)
+        jacobians = []
+        jacobian = bvpmod._Collocation.jacobian
+        monkeypatch.setattr(bvpmod._Collocation, "jacobian",
+                            lambda self, y, f: jacobians.append(1) or jacobian(self, y, f))
         rec = solve_point(ex1, 0.0, x0, tol=1e-6, point_id=1164)
         assert rec.converged and not rec.cont
+        assert 0 < len(jacobians) < rec.newton          # some steps ran on kept factors
+
+    @pytest.mark.parametrize("example, d, q, pid", [("ex1", 6, 10, 1164), ("ex3", 4, 9, 245)])
+    def test_resolve_is_bit_identical(self, example, d, q, pid, request):
+        # criterion 9 needs the refresh decisions of kept-factor Newton to be deterministic
+        problem = request.getfixturevalue(example)
+        grid = build_grid(NodeFamily.CGL, d, q, problem.domain)
+        [(t0, x0)] = point_args(problem, grid.phys[pid : pid + 1])
+        first, again = (GridSolution({}, [solve_point(problem, t0, x0, tol=1e-8, point_id=pid)]) for _ in range(2))
+        assert first.records[0].converged
+        assert first.record_lines(grid) == again.record_lines(grid)
 
     def test_degenerate_horizon_uses_terminal_data(self, ex3):
         rec = solve_point(ex3, 5.0, np.array([1.0, 1.0, 1.0]), tol=1e-9)
