@@ -78,6 +78,7 @@ _MESH_SIGMA = 0.25                            # target residual per new interval
 _MESH_CAP = 8                                 # most pieces one interval becomes in one mesh selection
 _MAX_MESHES = 30                              # meshes per solve before it gives up (MaxMesh); mesh
                                               # selection may remove nodes, so _MAX_NODES alone does not end the loop
+_ORDER_SAMPLES = 400                          # equally spaced points where empirical_order measures the error
 
 # Lobatto abscissae for the 4-point formula on [0, 1]
 _C = np.array([0.0, (5.0 - math.sqrt(5.0)) / 10.0, (5.0 + math.sqrt(5.0)) / 10.0, 1.0])
@@ -507,15 +508,14 @@ class OrderFit:
     errors: list[float]
 
 
-def empirical_order(problem: BvpProblem, exact: Callable[[np.ndarray], np.ndarray],
-                    mesh_sizes: list[int], n_samples: int = 400) -> OrderFit:
+def empirical_order(problem: BvpProblem, exact: Callable[[np.ndarray], np.ndarray], mesh_sizes: list[int]) -> OrderFit:
     """Fitted convergence order on uniform meshes, max interpolant error vs h.
 
     The error is measured through the collocation polynomial on a dense sample
     between mesh nodes (the uniform, not superconvergent, error).
     """
     a, b = problem.interval
-    ss = np.linspace(a, b, n_samples)
+    ss = np.linspace(a, b, _ORDER_SAMPLES)
     errs, hs = [], []
     for n in mesh_sizes:
         mesh = np.linspace(a, b, n + 1)

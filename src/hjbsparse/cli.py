@@ -21,6 +21,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -59,6 +60,12 @@ def _seed(value) -> int:
     return n
 
 
+def _positive_float(value) -> float:
+    if not 0.0 < float(value) < np.inf:
+        raise ValueError("expected a finite number > 0")
+    return float(value)
+
+
 def _lebesgue(value) -> str:
     if value not in ("bound", "numeric"):
         raise ValueError("expected bound|numeric")
@@ -78,17 +85,18 @@ _SETTINGS = {
     "tol": (float, float, "solver tolerance (unset in validate: the dataset's / 10)"),
     "lebesgue": (str, _lebesgue, "Lebesgue constants: bound|numeric"),
     "noise": (float, float, "uniform noise amplitude, fraction of halfwidth"),
-    "hz": (float, float, "sampling rate"),
+    "hz": (float, _positive_float, "sampling rate"),
     "tmax": (float, float, "simulated time (unset: the problem's horizon)"),
 }
 
 
 def _workers(value) -> int:
-    """The resolved --workers setting, else HJB_WORKERS, else the available parallelism."""
+    """The resolved --workers setting, else HJB_WORKERS, else the CPUs this process may run on."""
     if value is not None:
         return value
-    env = os.environ.get("HJB_WORKERS")
-    return _read("HJB_WORKERS", env, _positive_int) if env else os.cpu_count() or 1
+    if env := os.environ.get("HJB_WORKERS"):
+        return _read("HJB_WORKERS", env, _positive_int)
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def _lo_hi(axis: str) -> tuple[float, float]:
@@ -276,7 +284,7 @@ def cmd_validate(args, run: _Run) -> int:
     workers = run.config["workers"] = _workers(args.workers)
     law = fit_feedback(problem, grid, solution)
     report = validate(problem, law, n_samples=args.n, tight_tol=args.tol, seed=args.seed, workers=workers)
-    _write_json(args.out, report.as_json())
+    _write_json(args.out, asdict(report))
     hist_path = str(args.out) + ".hist.csv"
     with open(hist_path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -293,9 +301,7 @@ def cmd_mpc(args, run: _Run) -> int:
     problem, solution, grid = _load_dataset(args, run)
     x0 = check_x0(problem, _read("--x0", args.x0, _vector))
     t_max = run.config["tmax"] = problem.horizon if args.tmax is None else args.tmax
-    if args.dt is None and not args.hz > 0:
-        raise ValueError(f"--hz must be > 0, got {args.hz}")
-    dt = 1.0 / args.hz if args.dt is None else args.dt
+    dt = 1.0 / args.hz
     run.config.update({"dt": dt, "x0": x0.tolist()})
     mode = HorizonMode.TIME_IN_GRID if problem.time_in_grid else HorizonMode.FIXED_INITIAL
     run.config["horizon_mode"] = mode.value
@@ -423,7 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mpc", help="closed-loop zero-order-hold simulation")
     p.add_argument("--dataset", required=True)
     p.add_argument("--x0", required=True, help="comma-separated initial state")
-    p.add_argument("--dt", type=float, default=None, help="sample period (overrides --hz)")
     common(p, "traj.csv", cmd_mpc, noise=0.0, seed=0, tmax=None, hz=10.0)
 
     p = sub.add_parser("order-check", help="convergence-order harness for the solver and interpolation")

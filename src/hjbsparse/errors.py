@@ -20,7 +20,7 @@ points; by linearity the result rescales exactly with the error magnitude.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -79,8 +79,7 @@ class RateReport:
     monotone: bool
 
 
-def coefficient_growth_check(family: NodeFamily, d: int, q_values: list[int],
-                         lebesgue_mode: str = "bound") -> RateReport:
+def coefficient_growth_check(family: NodeFamily, d: int, q_values: list[int]) -> RateReport:
     """Fitted polynomial growth degree of the bound coefficient against q.
 
     For the hat families the coefficient grows like q^(d-1); for CGL the value
@@ -89,7 +88,7 @@ def coefficient_growth_check(family: NodeFamily, d: int, q_values: list[int],
     """
     if len(q_values) < 4:
         raise GridSpecError("need at least 4 depths to fit a growth degree")
-    coeffs = [worst_case_coefficient(family, d, q, lebesgue_mode).coefficient for q in q_values]
+    coeffs = [worst_case_coefficient(family, d, q).coefficient for q in q_values]
     logs = np.log(np.asarray(coeffs))
     if np.ptp(logs) < 1e-12:
         degree = 0.0
@@ -183,9 +182,6 @@ class ValidationReport:
     histogram_edges: list[float]
     histogram_counts: list[int]
     samples: list[SamplePoint]
-
-    def as_json(self) -> dict:
-        return asdict(self)
 
 
 def _oracle_chunk(args):

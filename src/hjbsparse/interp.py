@@ -14,11 +14,11 @@ product with the surpluses.
 The surpluses are fitted by unidirectional hierarchization (Bungartz &
 Griebel, "Sparse grids", Acta Numerica 13, 2004).  Along axis k, the points
 that share their table columns on the other axes form a pole.  The grid
-is downward closed, so every pole is a whole 1-D node set X^L, and the 1-D
-map from its values to its surpluses is the leading block of one triangular
-inverse.  Applying that map along every pole, one axis after the other,
-gives the d-dimensional surpluses.  The combination formula gives the same
-polynomial; the test suite keeps it as the reference for the fit.
+is downward closed, so every pole is a whole 1-D node set X^L, and a level-l
+surplus is the value minus the nodal interpolant on X^(l-1): that is the 1-D
+map from a pole's values to its surpluses, applied along every pole, axis by
+axis.  The combination formula gives the same polynomial; the test suite
+keeps it as the reference for the fit.
 
 The piecewise-linear families use hat functions; the CGL family uses Lagrange
 polynomials over X^i evaluated in barycentric form with the analytically known
@@ -33,10 +33,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .exceptions import FitError, GridSpecError, OutOfDomainError
-from .grid import NodeFamily, SparseGrid, delta_count, delta_positions, nodes_1d, table_nodes
+from .grid import NodeFamily, SparseGrid, delta_count, delta_positions, node_count, nodes_1d, table_nodes
 
 _NODE_HIT = 1e-14
 # Entries (query rows x grid points) per block of the evaluation kernel.  A
@@ -252,16 +251,14 @@ class Interpolant:
 
 @lru_cache(maxsize=None)
 def _hierarchization_matrix(family: NodeFamily, ref_level: int) -> np.ndarray:
-    """Inverse of the 1-D delta matrix: the delta bases at the delta nodes, both in table column order.
-
-    A level-l basis vanishes at every node of levels <= l but its own, so the
-    matrix is unit lower triangular and its leading N_L block is level L's
-    alone.  The leading N_L block of the inverse therefore maps values at X^L,
-    in column order, to their 1-D hierarchical surpluses.
-    """
+    """The 1-D map from values to surpluses in table column order, whose leading N_L block maps X^L alone:
+    a level-l surplus is the value minus the nodal interpolant on X^(l-1), the first N_(l-1) columns."""
     nodes = table_nodes(family, ref_level)
-    inv = solve_triangular(_delta_table(family, ref_level, nodes), np.eye(len(nodes)),
-                           lower=True, unit_diagonal=True)
+    inv = np.eye(len(nodes))
+    for lvl in range(2, ref_level + 1):
+        lo, hi = node_count(family, lvl - 1), node_count(family, lvl)
+        order = np.searchsorted(nodes_1d(family, lvl - 1), nodes[:lo])  # exact: nested nodes are bit-identical
+        inv[lo:hi, :lo] = -x_basis_matrix(family, lvl - 1, nodes[lo:hi])[:, order]
     inv.setflags(write=False)
     return inv
 

@@ -1,4 +1,5 @@
 import json
+import os
 import shlex
 from dataclasses import replace
 from pathlib import Path
@@ -57,6 +58,11 @@ class TestBasics:
         monkeypatch.setenv("HJB_WORKERS", "5")
         assert _workers(None) == 5
         assert _workers(3) == 3
+
+    def test_workers_default_is_the_affinity_mask(self, monkeypatch):
+        monkeypatch.delenv("HJB_WORKERS", raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert _workers(None) == 1
 
     @pytest.mark.parametrize("flags, env, cfg, name", [
         (["--workers", "-3"], None, {}, "workers"),
@@ -268,12 +274,11 @@ class TestPipeline:
         assert code == 1 and not out.exists()
         assert "--x0: cannot read '1,,1,1'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag", ["--hz", "--dt"])
-    def test_mpc_rejects_zero_sample_period(self, flag, ds_path, tmp_path, capsys):
-        code = main(["mpc", "--dataset", str(ds_path), "--x0", "0.5,0.5,0.5", flag, "0",
+    def test_mpc_rejects_zero_sample_period(self, ds_path, tmp_path, capsys):
+        code = main(["mpc", "--dataset", str(ds_path), "--x0", "0.5,0.5,0.5", "--hz", "0",
                      "--out", str(tmp_path / "traj.csv")])
         assert code == 1
-        assert "error:" in capsys.readouterr().err
+        assert "error: hz: cannot read" in capsys.readouterr().err
 
     def test_fit_refuses_coarse_failure(self, ds_path, tmp_path, capsys):
         lines = ds_path.read_text().splitlines()
@@ -533,6 +538,7 @@ class TestConfigPrecedence:
         (["bound", "--family", "classic", "--d", "2", "--q", "4"], {"lebesgue": None}),
         (["mc-ebvp", "--d", "2", "--q", "4"], {"seed": -1}),
         (["mc-ebvp", "--d", "2", "--q", "4"], {"seed": 2**128}),
+        (["mpc", "--dataset", "absent.jsonl", "--x0", "0.5,0.5,0.5"], {"hz": 0}),
     ])
     def test_config_value_of_the_wrong_type_exits_one(self, command, cfg, tmp_path, capsys):
         path = tmp_path / "cfg.json"

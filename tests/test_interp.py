@@ -123,9 +123,15 @@ class TestHierarchizationMatrix:
             assert np.all(np.diag(m) == 1.0)
             assert np.all(np.triu(m, 1) == 0.0)
 
-    def test_surpluses_equal_those_of_the_reference_matrix(self):
-        g = build_grid(NodeFamily.CGL, 6, 10)
-        z = g.ref @ np.linspace(0.5, 1.7, 6)
+    @pytest.mark.parametrize("family, d, q", [
+        (NodeFamily.CGL, 6, 10),
+        (NodeFamily.CGL, 1, 12),
+        (NodeFamily.CLASSIC, 1, 12),
+        (NodeFamily.MODIFIED, 2, 11),
+    ])
+    def test_surpluses_equal_those_of_the_reference_matrix(self, family, d, q):
+        g = build_grid(family, d, q)
+        z = g.ref @ np.linspace(0.5, 1.7, d)
         f = np.stack([np.sin(2.0 * z), np.exp(-(g.ref**2).sum(axis=1))], axis=1)
         nodes = table_nodes(g.family, g.ref_level)
         inv = solve_triangular(reference_table(g.family, g.ref_level, nodes), np.eye(len(nodes)),
