@@ -18,6 +18,9 @@ bit-identically and the sweep result does not depend on the worker count.
 from __future__ import annotations
 
 import json
+import multiprocessing
+import os
+import threading
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -136,6 +139,9 @@ def assemble_bvp(problem: ControlProblem, t0: float, x0: np.ndarray, tol: float)
     return BvpProblem(ndim=2 * n, rhs=rhs, bc=bc, interval=(t0, problem.horizon), tol=tol, guess=guess)
 
 
+_CONVERGED = BvpStatus.CONVERGED.value
+
+
 @dataclass
 class CharacteristicRecord:
     point_id: int
@@ -150,7 +156,7 @@ class CharacteristicRecord:
 
     @property
     def converged(self) -> bool:
-        return self.status == BvpStatus.CONVERGED.value
+        return self.status == _CONVERGED
 
 
 def _continuation_solve(prob: ControlProblem, t0: float, x0: np.ndarray, tol: float,
@@ -232,17 +238,78 @@ def _solve_chunk(args):
     return [solve_point(problem, t0, x0, tol, point_id=pid) for pid, t0, x0 in items]
 
 
+# The process's pool and its key (worker count, pool class): built by the first map_chunks
+# call that needs workers and reused by every later call with the same key.  The lock is
+# held for a whole map, so no thread drops the pool another one maps on.
+_pool: tuple | None = None
+_pool_lock = threading.Lock()
+
+
+def _forget_pool() -> None:
+    """Start a forked child without its parent's pool, and with a lock no thread holds."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _drop_pool() -> None:
+    """Shut the process's pool down, cancelling its queued chunks, and forget it."""
+    global _pool
+    _, pool = _pool
+    _pool = None
+    pool.shutdown(cancel_futures=True)
+
+
+def _executor(workers: int) -> ProcessPoolExecutor:
+    """The process's pool of `workers` workers, rebuilt when the key changes or a worker has died.
+
+    The class is read from the module binding at each call, so a pool built
+    under a patched ProcessPoolExecutor is rebuilt once the binding changes back.
+    A worker that died between maps is found by polling each one, before the
+    pool's own thread may have seen it.
+    """
+    global _pool
+    key = (workers, ProcessPoolExecutor)
+    if _pool is not None and (_pool[0] != key or not all(p.is_alive() for p in _pool[1]._processes.values())):
+        _drop_pool()
+    if _pool is None:
+        _pool = key, ProcessPoolExecutor(max_workers=workers)
+    return _pool[1]
+
+
 def map_chunks(chunk_fn, problem: ControlProblem, tol: float, items: list, workers: int) -> list:
-    """chunk_fn((problem, tol, chunk)) over round-robin chunks of items on a process pool
-    (in-process for one worker or fewer than 4 items); one result per item, in item order."""
+    """chunk_fn((problem, tol, chunk)) over round-robin chunks of items on the process's pool
+    (in-process for one worker or fewer than 4 items); one result per item, in item order.
+
+    The workers are forked once per process and worker count, by the first map
+    that needs them, and every later map with the same count reuses them; they
+    exit with the interpreter.  They run the package as it was when they were
+    forked, so a monkeypatch made after that point reaches only workers=1 runs.
+    An exception that leaves the map shuts the pool down, its queued chunks
+    cancelled, and the next map forks a fresh one; so does a worker that died
+    between maps, and every map in a process that multiprocessing started.  A
+    forked child starts without its parent's pool.  Maps from several threads
+    take turns on the pool.
+    """
     if workers <= 1 or len(items) < 4:
         return chunk_fn((problem, tol, items))
     nchunks = min(len(items), 4 * workers)
     out = [None] * len(items)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = pool.map(chunk_fn, [(problem, tol, items[i::nchunks]) for i in range(nchunks)])
-        for i, part in enumerate(parts):
-            out[i::nchunks] = part
+    with _pool_lock:
+        pool = _executor(workers)
+        try:
+            parts = pool.map(chunk_fn, [(problem, tol, items[i::nchunks]) for i in range(nchunks)])
+            for i, part in enumerate(parts):
+                out[i::nchunks] = part
+        except BaseException:
+            _drop_pool()
+            raise
+        # multiprocessing joins a child's children at exit before the interpreter
+        # would shut the pool down, so a process it started keeps none between maps
+        if multiprocessing.parent_process() is not None:
+            _drop_pool()
     return out
 
 
@@ -262,7 +329,7 @@ class GridSolution:
         return np.stack([r.lam for r in self.records])
 
     def ok_mask(self) -> np.ndarray:
-        return np.array([r.converged for r in self.records])
+        return np.array([r.status == _CONVERGED for r in self.records])
 
     def record_lines(self, grid: SparseGrid) -> list[str]:
         """Deterministic JSON record lines (the dataset body)."""

@@ -1,5 +1,14 @@
 import json
 import math
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import threading
+import time
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +27,7 @@ from hjbsparse.characteristics import (
     assemble_bvp,
     fit_feedback,
     load_jsonl,
+    map_chunks,
     point_args,
     solve_point,
     sweep,
@@ -25,6 +35,8 @@ from hjbsparse.characteristics import (
 from hjbsparse.exceptions import FitError, OutOfDomainError, SweepError
 from hjbsparse.grid import Box, NodeFamily, build_grid
 from hjbsparse.problems import make_example2, problem_from_spec
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 class ToyLqr(ControlProblem):
@@ -388,6 +400,166 @@ class TestSweep:
             old = sol.records[pid]
             assert repr(again.V) == repr(old.V)
             assert [repr(v) for v in again.lam] == [repr(v) for v in old.lam]
+
+
+# Chunk functions of the pool tests, module-level so that workers find them by name.
+# map_chunks passes (problem, tol, chunk); these use the problem slot for their own data.
+
+def _pid_chunk(args):
+    time.sleep(0.02)                # each chunk holds its worker, so every worker takes one
+    return [(item, os.getpid()) for item in args[2]]
+
+
+def _exit_chunk(args):
+    if 0 in args[2]:
+        os._exit(1)
+    return _pid_chunk(args)
+
+
+def _raising_chunk(args):
+    marks, _, items = args
+    if 0 in items:
+        raise ValueError("chunk 0")
+    (Path(marks) / f"start-{items[0]}").touch()
+    time.sleep(0.2)
+    (Path(marks) / f"end-{items[0]}").touch()
+    return items
+
+
+class _OtherPool(ProcessPoolExecutor):
+    """A pool class bound in place of ProcessPoolExecutor; counts the pools built from it."""
+
+    built = 0
+
+    def __init__(self, *args, **kwargs):
+        type(self).built += 1
+        super().__init__(*args, **kwargs)
+
+
+def _running(pid):
+    """Whether pid is a process that has not exited (a zombie has)."""
+    try:
+        state = Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0]
+    except FileNotFoundError:
+        return False
+    return state not in ("Z", "X")
+
+
+def _map_in_child():
+    map_chunks(_pid_chunk, None, 0.0, list(range(8)), 2)
+
+
+class TestProcessPool:
+    """map_chunks keeps one pool per process and worker count."""
+
+    @staticmethod
+    def pids(workers):
+        out = map_chunks(_pid_chunk, None, 0.0, list(range(8)), workers)
+        assert [item for item, _ in out] == list(range(8))
+        return {pid for _, pid in out}
+
+    def test_calls_reuse_the_workers(self):
+        first, second = self.pids(2), self.pids(2)
+        assert os.getpid() not in first
+        assert len(first | second) <= 2             # a fresh pool would bring two new pids
+
+    def test_another_worker_count_forks_new_workers(self):
+        two = self.pids(2)
+        three = self.pids(3)
+        assert not three & two
+        assert not self.pids(2) & (two | three)
+
+    def test_threads_with_different_worker_counts_take_turns(self):
+        failures = []
+
+        def maps(workers):
+            try:
+                for _ in range(3):
+                    self.pids(workers)
+            except Exception as exc:                 # a pool dropped under a running map
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=maps, args=(workers,)) for workers in (2, 3)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+
+    def test_a_rebound_pool_class_gets_its_own_pool(self, monkeypatch):
+        plain = self.pids(2)
+        monkeypatch.setattr(chmod, "ProcessPoolExecutor", _OtherPool)
+        built = _OtherPool.built
+        other = self.pids(2)
+        assert _OtherPool.built == built + 1 and not other & plain
+        monkeypatch.undo()
+        assert not self.pids(2) & other
+
+    def test_a_dead_worker_fails_its_map_and_the_next_gets_a_fresh_pool(self):
+        before = self.pids(2)
+        with pytest.raises(BrokenProcessPool):
+            map_chunks(_exit_chunk, None, 0.0, list(range(8)), 2)
+        assert not self.pids(2) & before
+
+    def test_a_worker_killed_between_maps_is_replaced(self):
+        before = self.pids(2)
+        dead = min(before)
+        os.kill(dead, signal.SIGKILL)
+        deadline = time.monotonic() + 30
+        while _running(dead):                        # map as soon as the worker is gone,
+            assert time.monotonic() < deadline       # whether or not the pool has seen it yet
+            time.sleep(0.001)
+        assert not self.pids(2) & before
+
+    def test_a_raising_chunk_leaves_no_chunk_running(self, tmp_path):
+        self.pids(2)
+        with pytest.raises(ValueError, match="chunk 0"):
+            map_chunks(_raising_chunk, str(tmp_path), 0.0, list(range(8)), 2)
+        started = {p.name[6:] for p in tmp_path.glob("start-*")}
+        assert started == {p.name[4:] for p in tmp_path.glob("end-*")}
+        assert len(started) < 7                      # queued chunks were cancelled
+        time.sleep(0.3)
+        assert {p.name[6:] for p in tmp_path.glob("start-*")} == started
+        assert self.pids(2)
+
+    def test_a_process_exits_with_its_workers(self):
+        script = ("import multiprocessing\n"
+                  "from hjbsparse.characteristics import sweep\n"
+                  "from hjbsparse.grid import NodeFamily, build_grid\n"
+                  "from hjbsparse.problems import make_example3\n"
+                  "problem = make_example3()\n"
+                  "grid = build_grid(NodeFamily.CGL, 4, 5, problem.domain)\n"
+                  "first = sweep(problem, grid, tol=1e-6, workers=2).record_lines(grid)\n"
+                  "assert sweep(problem, grid, tol=1e-6, workers=2).record_lines(grid) == first\n"
+                  "print(*[p.pid for p in multiprocessing.active_children()])\n")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                             timeout=120)
+        assert out.returncode == 0, out.stderr[-2000:]
+        pids = [int(pid) for pid in out.stdout.split()]
+        assert len(pids) == 2
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+
+    def test_a_multiprocessing_child_exits_with_its_workers(self):
+        self.pids(2)                                 # the child inherits this process's pool
+        child = multiprocessing.get_context("fork").Process(target=_map_in_child)
+        child.start()
+        child.join(timeout=30)
+        alive = child.is_alive()
+        if alive:                                    # end the child and the workers it would orphan
+            workers = Path(f"/proc/{child.pid}/task/{child.pid}/children").read_text().split()
+            for pid in [child.pid, *map(int, workers)]:
+                os.kill(pid, signal.SIGKILL)
+            child.join(timeout=30)
+        assert not alive and child.exitcode == 0
 
 
 class TestFeedback:

@@ -11,10 +11,14 @@ renaming any of them breaks the benchmark without failing any other test:
   so that tracing.py's wrap finds it (bvp.splu_calls and bvp.splu_s read 0)
 - characteristics: bvp_solve, sweep, solve_point, GridSolution.save_jsonl,
   load_jsonl, fit_feedback, FeedbackLaw.control, .value and .costate,
-  fit_hierarchical, _solve_chunk and ProcessPoolExecutor
+  fit_hierarchical, _solve_chunk and ProcessPoolExecutor.  map_chunks reads
+  ProcessPoolExecutor at every call and keys its cached pool by the class, so
+  the pool built under the traced pass's binding is not reused after it
 - interp._CHUNK and Interpolant.eval
-- errors: validate, solve_point, mc_ebvp, _oracle_chunk and ProcessPoolExecutor;
-  ValidationReport.mae, .n_oracle_failures and .n_requested
+- errors: validate, solve_point, mc_ebvp and _oracle_chunk;
+  ValidationReport.mae, .n_oracle_failures and .n_requested.  The traced pass
+  also sets errors.ProcessPoolExecutor, which nothing reads (validate maps
+  through characteristics.map_chunks), and removes it again
 - mpc.simulate and mpc._rk4_hold
 """
 
