@@ -18,6 +18,7 @@ bit-identically and the sweep result does not depend on the worker count.
 from __future__ import annotations
 
 import json
+import math
 import multiprocessing
 import os
 import threading
@@ -37,6 +38,7 @@ from .util import json_default
 
 _DEGENERATE_HORIZON = 1e-13
 _MAX_SWEEP_FAILURES = 0.01         # failed share of grid points that aborts a sweep
+_PARENT_POLL_S = 1.0               # seconds between a pool worker's checks that its parent lives
 # record status of a point whose target (specialize) fails, by the error it raised
 _TARGET_FAILURES = {InfeasibleTargetError: "InfeasibleTarget", TargetSolveError: "TargetSolve"}
 
@@ -262,20 +264,47 @@ def _drop_pool() -> None:
     pool.shutdown(cancel_futures=True)
 
 
+def _exit_with_parent(parent: int) -> None:
+    """Pool-worker initializer: a daemon thread ends the worker once its parent is gone.
+
+    An idle worker blocks on the pool's call queue, whose pipe it holds open
+    itself, so a parent killed by a signal would leave it running for ever.
+    The parent's pid is polled instead of set up with PR_SET_PDEATHSIG, which
+    fires when the thread that forked the worker exits, and maps may run on
+    any thread.
+    """
+    def watch():
+        while os.getppid() == parent:
+            time.sleep(_PARENT_POLL_S)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="exit-with-parent", daemon=True).start()
+
+
 def _executor(workers: int) -> ProcessPoolExecutor:
     """The process's pool of `workers` workers, rebuilt when the key changes or a worker has died.
 
     The class is read from the module binding at each call, so a pool built
     under a patched ProcessPoolExecutor is rebuilt once the binding changes back.
     A worker that died between maps is found by polling each one, before the
-    pool's own thread may have seen it.
+    pool's own thread may have seen it, or by the broken mark that thread sets
+    before it reaps the worker.  The other workers are then ended before the
+    pool is shut down: the dead one may have held the call queue's lock, on
+    which they would wait for ever.
     """
     global _pool
     key = (workers, ProcessPoolExecutor)
-    if _pool is not None and (_pool[0] != key or not all(p.is_alive() for p in _pool[1]._processes.values())):
-        _drop_pool()
+    if _pool is not None:
+        pool = _pool[1]
+        if not all(p.is_alive() for p in pool._processes.values()) or pool._broken:
+            for p in pool._processes.values():
+                p.terminate()
+            _drop_pool()
+        elif _pool[0] != key:
+            _drop_pool()
     if _pool is None:
-        _pool = key, ProcessPoolExecutor(max_workers=workers)
+        _pool = key, ProcessPoolExecutor(max_workers=workers, initializer=_exit_with_parent,
+                                         initargs=(os.getpid(),))
     return _pool[1]
 
 
@@ -285,8 +314,9 @@ def map_chunks(chunk_fn, problem: ControlProblem, tol: float, items: list, worke
 
     The workers are forked once per process and worker count, by the first map
     that needs them, and every later map with the same count reuses them; they
-    exit with the interpreter.  They run the package as it was when they were
-    forked, so a monkeypatch made after that point reaches only workers=1 runs.
+    exit with the interpreter, or about a second after a parent killed by a
+    signal.  They run the package as it was when they were forked, so a
+    monkeypatch made after that point reaches only workers=1 runs.
     An exception that leaves the map shuts the pool down, its queued chunks
     cancelled, and the next map forks a fresh one; so does a worker that died
     between maps, and every map in a process that multiprocessing started.  A
@@ -363,7 +393,7 @@ def _field(obj, key: str, convert):
 
 
 def _float_or_null(v) -> float | None:
-    return float(v) if np.isfinite(v) else None
+    return float(v) if math.isfinite(v) else None
 
 
 def _nan_or_float(v) -> float:

@@ -218,6 +218,14 @@ class SparseGrid:
     ``ref`` and ``phys`` are derived from it.  Within each cell the offsets
     run in row-major (last axis fastest) order, which coincides with
     ascending lexicographic offset order.
+
+    The points are enumerated in bulk from the cells as one (C, d) level
+    array.  On each axis of a cell the delta count of its level is a radix;
+    the cell holds the product of its radices, and its points follow those
+    of the cells before it.  A point's rank within its cell, written in
+    row-major mixed-radix digits, is its 0-based offset on every axis:
+    digit k is ``rank // stride_k % radix_k``, with stride_k the product of
+    the radices after axis k.
     """
 
     def __init__(self, family: NodeFamily, d: int, q: int, domain: Box):
@@ -238,17 +246,18 @@ class SparseGrid:
         self.cells = cells
 
         # the table columns of level i run from first[i - 1] to first[i] - 1
-        counts = [delta_count(family, i) for i in range(1, self.ref_level + 1)]
-        first = np.cumsum([0] + counts)
-        blocks = []
-        for mi in cells:
-            mesh = np.meshgrid(*[np.arange(first[i - 1], first[i]) for i in mi], indexing="ij")
-            blocks.append(np.stack([m.ravel() for m in mesh], axis=1))
-        self.cols = np.vstack(blocks).astype(np.int64, copy=False)
-        column_level = np.repeat(np.arange(1, self.ref_level + 1, dtype=np.int64), counts)
-        column_offset = np.concatenate([np.arange(1, c + 1, dtype=np.int64) for c in counts])
-        self.levels = column_level[self.cols]
-        self.offsets = column_offset[self.cols]
+        counts = np.array([delta_count(family, i) for i in range(1, self.ref_level + 1)], dtype=np.int64)
+        first = np.concatenate([[0], np.cumsum(counts)])
+        levels = np.array(cells, dtype=np.int64)
+        radix = counts[levels - 1]
+        stride = np.ones_like(radix)
+        stride[:, :-1] = np.cumprod(radix[:, :0:-1], axis=1)[:, ::-1]
+        size = stride[:, 0] * radix[:, 0]
+        rank = np.arange(size.sum(), dtype=np.int64) - np.repeat(np.cumsum(size) - size, size)
+        digit = rank[:, None] // np.repeat(stride, size, axis=0) % np.repeat(radix, size, axis=0)
+        self.cols = np.repeat(first[levels - 1], size, axis=0) + digit
+        self.levels = np.repeat(levels, size, axis=0)
+        self.offsets = digit + 1
         self.ref = table_nodes(family, self.ref_level)[self.cols]
         self.phys = domain.to_phys(self.ref)
         for arr in (self.cols, self.levels, self.offsets, self.ref, self.phys):

@@ -437,12 +437,19 @@ class _OtherPool(ProcessPoolExecutor):
 
 
 def _running(pid):
-    """Whether pid is a process that has not exited (a zombie has)."""
+    """Whether pid is a process that has not exited (a zombie has): whether any of its threads runs."""
     try:
-        state = Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0]
+        threads = os.listdir(f"/proc/{pid}/task")
     except FileNotFoundError:
         return False
-    return state not in ("Z", "X")
+    for tid in threads:
+        try:
+            state = Path(f"/proc/{pid}/task/{tid}/stat").read_text().rsplit(")", 1)[1].split()[0]
+        except FileNotFoundError:
+            continue
+        if state not in ("Z", "X"):
+            return True
+    return False
 
 
 def _map_in_child():
@@ -547,6 +554,34 @@ class TestProcessPool:
         for pid in pids:
             with pytest.raises(ProcessLookupError):
                 os.kill(pid, 0)
+
+    def test_workers_exit_when_their_parent_is_killed(self):
+        script = ("import os, time\n"
+                  "from hjbsparse.characteristics import map_chunks\n"
+                  "def chunk(args):\n"
+                  "    time.sleep(0.02)\n"
+                  "    return [os.getpid() for _ in args[2]]\n"
+                  "print(*sorted(set(map_chunks(chunk, None, 0.0, list(range(8)), 2))), flush=True)\n"
+                  "time.sleep(120)\n")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+        parent = subprocess.Popen([sys.executable, "-c", script], env=env, stdout=subprocess.PIPE, text=True)
+        pids = []
+        try:
+            pids = [int(pid) for pid in parent.stdout.readline().split()]
+            assert len(pids) == 2 and all(_running(pid) for pid in pids)
+            parent.send_signal(signal.SIGTERM)
+            parent.wait(timeout=30)
+            deadline = time.monotonic() + 5
+            while any(_running(pid) for pid in pids) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not any(_running(pid) for pid in pids)    # gone, or a zombie nobody reaps
+        finally:
+            parent.kill()
+            parent.wait(timeout=30)
+            parent.stdout.close()
+            for pid in pids:
+                if _running(pid):
+                    os.kill(pid, signal.SIGKILL)
 
     def test_a_multiprocessing_child_exits_with_its_workers(self):
         self.pids(2)                                 # the child inherits this process's pool

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from grid_oracle import enumerate_grid
 
 from hjbsparse.exceptions import GridSpecError, OutOfDomainError
 from hjbsparse.grid import (
@@ -154,6 +155,33 @@ class TestGridStructure:
                 for lvl in range(1, g.ref_level + 1):
                     on = g.levels[:, k] == lvl
                     assert np.array_equal(g.ref[on, k], delta_nodes(family, lvl)[g.offsets[on, k] - 1])
+
+
+class TestBulkEnumeration:
+    """The mixed-radix enumeration against the per-cell meshgrid one, byte for byte."""
+
+    @staticmethod
+    def assert_matches_oracle(family, d, q):
+        domain = Box(tuple(-1.0 - k for k in range(d)), tuple(2.0 + 0.5 * k for k in range(d)))
+        g = build_grid(family, d, q, domain)
+        want = enumerate_grid(family, d, q, domain)
+        assert type(g.cells) is list and g.cells == want["cells"]
+        for name in ("cols", "levels", "offsets", "ref", "phys"):
+            got = getattr(g, name)
+            assert got.dtype == want[name].dtype and got.shape == want[name].shape, name
+            assert got.tobytes() == want[name].tobytes(), name
+            assert not got.flags.writeable, name
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("d", range(1, 8))
+    def test_matches_per_cell_enumeration(self, family, d):
+        for q in range(d, d + 8):
+            if grid_size(family, d, q) <= 300_000:
+                self.assert_matches_oracle(family, d, q)
+
+    @pytest.mark.parametrize("d, q", [(6, 13), (4, 12)])
+    def test_matches_per_cell_enumeration_at_paper_scale(self, d, q):
+        self.assert_matches_oracle(NodeFamily.CGL, d, q)
 
 
 class TestDomainMaps:
