@@ -53,9 +53,10 @@ class ControlProblem:
 
     f and L also take one point without the axis: x of shape (n,) and u of
     shape (m,) give f of shape (n,) and L of shape (), equal to the column
-    results [:, 0] and [0].  The MPC plant steps on these 1-D states.  Unpack
-    rows (x1, x2, x3 = x) rather than slice them, so no (n,) - (n, 1)
-    broadcast can turn a point into a matrix.
+    results [:, 0] and [0].  The MPC plant steps f on these 1-D states and
+    calls L once per hold on its stage states as columns.  Unpack rows
+    (x1, x2, x3 = x) rather than slice them, so no (n,) - (n, 1) broadcast
+    can turn a point into a matrix.
 
     h_x takes one point (n,) -> (n,) and columns (n, P) -> (n, P): the BVP's
     boundary Jacobian evaluates it on every perturbed copy of x(T) in one

@@ -6,10 +6,14 @@ interpolated costate, and held constant while the true dynamics are integrated
 with fixed-step classical 4th-order steps.  The integrator also carries the
 accumulated running cost.  Everything is deterministic given the seed.
 
-The plant is stepped on the 1-D state: f(t, x, u) and L(t, x, u) are called
-with x of shape (n,) and u of shape (m,), and return shapes (n,) and ().
-ControlProblem states this shape contract; the BVP sweep calls the same
-f and L on (n, P) columns.
+The plant is stepped on the 1-D state: each hold calls f(t, x, u) 4 * _SUBSTEPS
+times, with x of shape (n,) and u of shape (m,), returning (n,).  The running
+cost never feeds back into x, so each hold calls L once, on the stage states
+as (n, 4 * _SUBSTEPS) columns with u broadcast to (m, 4 * _SUBSTEPS), and sums
+it substep by substep; simulate calls L on the 1-D state once per sample for
+the recorded running cost.  ControlProblem states this shape contract, under
+which a column's L equals the 1-D call; the BVP sweep calls f and L on
+(n, P) columns.
 """
 
 from __future__ import annotations
@@ -64,25 +68,36 @@ def _rk4_hold(problem: ControlProblem, t0: float, x: np.ndarray, u: np.ndarray,
               dt: float) -> tuple[np.ndarray, float]:
     """Integrate the true dynamics and running cost over one hold interval.
 
-    x is the 1-D state and u the 1-D held control; the running cost z is
-    stepped by the same RK4 weights as x, as a separate float.
+    x is the 1-D state and u the 1-D held control.  f is called on the 1-D
+    state at each of the 4 * _SUBSTEPS RK4 stages, which are kept as columns;
+    the running cost never feeds back into x, so L is called once per hold on
+    those columns, and z is stepped by the same RK4 weights as x, substep by
+    substep.  The column contract makes each stage's L equal to the 1-D call.
     """
-    f, L = problem.f, problem.L
+    f = problem.f
     h = dt / _SUBSTEPS
-    z = 0.0
+    stages = 4 * _SUBSTEPS
+    xs = np.empty((problem.n, stages))  # the state at each stage, k1..k4 of each substep in turn
+    ts = np.empty(stages)
     t = t0
-    for _ in range(_SUBSTEPS):
-        k1, l1 = f(t, x, u), L(t, x, u)
-        xm = x + h / 2 * k1
-        k2, l2 = f(t + h / 2, xm, u), L(t + h / 2, xm, u)
-        xm = x + h / 2 * k2
-        k3, l3 = f(t + h / 2, xm, u), L(t + h / 2, xm, u)
-        xm = x + h * k3
-        k4, l4 = f(t + h, xm, u), L(t + h, xm, u)
+    for i in range(0, stages, 4):
+        xs[:, i], ts[i] = x, t
+        k1 = f(t, x, u)
+        xs[:, i + 1] = xm = x + h / 2 * k1
+        k2 = f(t + h / 2, xm, u)
+        xs[:, i + 2] = xm = x + h / 2 * k2
+        k3 = f(t + h / 2, xm, u)
+        xs[:, i + 3] = xm = x + h * k3
+        k4 = f(t + h, xm, u)
+        ts[i + 1] = ts[i + 2] = t + h / 2
+        ts[i + 3] = t + h
         x = x + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        z = z + h / 6 * (l1 + 2 * l2 + 2 * l3 + l4)
         t += h
-    return x, float(z)
+    l = problem.L(ts, xs, np.broadcast_to(u[:, None], (u.shape[0], stages)))
+    z = 0.0
+    for dz in (h / 6 * (l[0::4] + 2 * l[1::4] + 2 * l[2::4] + l[3::4])).tolist():
+        z = z + dz
+    return x, z
 
 
 def check_x0(problem: ControlProblem, x0) -> np.ndarray:

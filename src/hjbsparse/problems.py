@@ -92,20 +92,25 @@ class AttitudeProblem(ControlProblem):
         self.horizon = self.params.T
         self.domain = self.params.domain
         self.control_labels = tuple(f"u{i + 1}" for i in range(self.m))
+        # J and H as floats, unpacked once here instead of on every f and H_x call
+        # (replace() reruns this); float arithmetic rounds as numpy's does
+        self._J = tuple(float(j) for j in self.params.J)
+        self._H = tuple(float(c) for c in self.params.H)
 
     def _check_theta(self, theta: np.ndarray) -> None:
-        if (abs(abs(theta) - math.pi / 2) < _GIMBAL_MARGIN).any():
+        # count_nonzero takes a point's numpy bool and a column's mask alike, cheaper than .any()
+        if np.count_nonzero(abs(abs(theta) - math.pi / 2) < _GIMBAL_MARGIN):
             raise SingularityError("state at gimbal lock")
 
     def f(self, t, x, u):
         v0, v1, v2, w0, w1, w2 = x
         self._check_theta(v1)
-        J0, J1, J2 = self.params.J
+        J0, J1, J2 = self._J
         Bu0, Bu1, Bu2 = self.params.B @ u
         s1, c1 = np.sin(v0), np.cos(v0)
         s2, c2 = np.sin(v1), np.cos(v1)
         t2 = np.tan(v1)
-        (RH0, RH1, RH2), _ = _rotate_H(self.params.H, s1, c1, s2, c2, np.sin(v2), np.cos(v2))
+        (RH0, RH1, RH2), _ = _rotate_H(self._H, s1, c1, s2, c2, np.sin(v2), np.cos(v2))
         return np.array([
             w0 + s1 * t2 * w1 + c1 * t2 * w2,
             c1 * w1 - s1 * w2,
@@ -117,14 +122,14 @@ class AttitudeProblem(ControlProblem):
 
     def H_x(self, t, x, lam, u):
         W1, W2 = self.params.W[:2]
-        J0, J1, J2 = self.params.J
+        J0, J1, J2 = self._J
         e0, e1, e2 = self._target()
         v0, v1, v2, w0, w1, w2 = x
         l0, l1, l2, l3, l4, l5 = lam
         self._check_theta(v1)
         s1, c1 = np.sin(v0), np.cos(v0)
         s2, c2 = np.sin(v1), np.cos(v1)
-        (RH0, RH1, RH2), (a0, a1, b2) = _rotate_H(self.params.H, s1, c1, s2, c2, np.sin(v2), np.cos(v2))
+        (RH0, RH1, RH2), (a0, a1, b2) = _rotate_H(self._H, s1, c1, s2, c2, np.sin(v2), np.cos(v2))
         m0, m1, m2 = l3 / J0, l4 / J1, l5 / J2
         sec2 = 1.0 / c2
         # v' = E(v) w: d/dphi and d/dtheta of E(v) w contracted with lam_v, and E(v)^T lam_v, share p

@@ -44,6 +44,37 @@ def augmented_rk4_hold(problem, t0, x, u, dt, rate=None):
     return xz[:-1], float(xz[-1])
 
 
+def per_stage_rk4_hold(problem, t0, x, u, dt):
+    """Reference hold: RK4 on the 1-D state with L called on the 1-D state at every stage,
+    and z stepped by the same weights as x, as a separate float."""
+    f, L = problem.f, problem.L
+    h = dt / _SUBSTEPS
+    z = 0.0
+    t = t0
+    for _ in range(_SUBSTEPS):
+        k1, l1 = f(t, x, u), L(t, x, u)
+        xm = x + h / 2 * k1
+        k2, l2 = f(t + h / 2, xm, u), L(t + h / 2, xm, u)
+        xm = x + h / 2 * k2
+        k3, l3 = f(t + h / 2, xm, u), L(t + h / 2, xm, u)
+        xm = x + h * k3
+        k4, l4 = f(t + h, xm, u), L(t + h, xm, u)
+        x = x + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        z = z + h / 6 * (l1 + 2 * l2 + 2 * l3 + l4)
+        t += h
+    return x, float(z)
+
+
+def random_holds(make, seed, count=10):
+    """count seeded (problem specialized at x, x, u) triples inside the middle half of make()'s box."""
+    problem, rng = make(), np.random.default_rng(seed)
+    box = problem.state_box
+    for _ in range(count):
+        x = box.center + rng.uniform(-0.5, 0.5, problem.n) * box.width
+        u = rng.uniform(-1.0, 1.0, problem.m)
+        yield problem.specialize(0.0, x), x, u
+
+
 def ex3_config(**kw):
     base = dict(dt=1.0 / 7.0, t_max=5.0, noise_fraction=0.025,
                 horizon_mode=HorizonMode.TIME_IN_GRID, seed=17)
@@ -66,14 +97,9 @@ class TestRk4Hold:
 
     @pytest.mark.parametrize("make", [make_example1, make_example2, make_example3])
     def test_equals_the_augmented_column_hold(self, make):
-        problem, rng = make(), np.random.default_rng(31)
-        box = problem.state_box
-        for _ in range(10):
-            x = box.center + rng.uniform(-0.5, 0.5, problem.n) * box.width
-            u = rng.uniform(-1.0, 1.0, problem.m)
-            frozen = problem.specialize(0.0, x)
+        for frozen, x, u in random_holds(make, 31):
             got_x, got_z = _rk4_hold(frozen, 0.3, x, u, 1.0 / 7.0)
-            assert got_x.shape == (problem.n,) and isinstance(got_z, float)
+            assert got_x.shape == (frozen.n,) and isinstance(got_z, float)
             if make is make_example3:
                 # f and L do the same operations on a point as on a column
                 ref_x, ref_z = augmented_rk4_hold(frozen, 0.3, x, u, 1.0 / 7.0)
@@ -84,6 +110,29 @@ class TestRk4Hold:
                                               rate=lambda t, xc, uc: column_f(frozen, xc, uc))
             assert np.abs(got_x - ref_x).max() <= 1e-13 * np.abs(ref_x).max()
             assert abs(got_z - ref_z) <= 1e-13 * abs(ref_z)
+
+    @pytest.mark.parametrize("make", [make_example1, make_example2, make_example3])
+    def test_bit_equal_to_the_per_stage_hold(self, make):
+        """One L call on the stage columns gives the bits of one L call per stage."""
+        for frozen, x, u in random_holds(make, 43):
+            got_x, got_z = _rk4_hold(frozen, 0.3, x, u, 1.0 / 7.0)
+            ref_x, ref_z = per_stage_rk4_hold(frozen, 0.3, x, u, 1.0 / 7.0)
+            assert np.array_equal(got_x, ref_x) and got_z == ref_z
+
+    @pytest.mark.parametrize("make", [make_example1, make_example2, make_example3])
+    def test_one_running_cost_call_per_hold(self, make, monkeypatch):
+        frozen, x, u = next(random_holds(make, 5, count=1))
+        calls = {"f": [], "L": []}
+        for name in calls:
+            method = getattr(frozen, name)
+
+            def counted(t, xx, uu, name=name, method=method):
+                calls[name].append(np.shape(xx))
+                return method(t, xx, uu)
+            monkeypatch.setattr(frozen, name, counted)
+        _rk4_hold(frozen, 0.0, x, u, 0.1)
+        assert calls["f"] == [(frozen.n,)] * (4 * _SUBSTEPS)
+        assert calls["L"] == [(frozen.n, 4 * _SUBSTEPS)]
 
 
 class TestDivergence:

@@ -57,8 +57,29 @@ class TestKinematics:
         assert np.abs(np.linalg.det(R) - 1.0).max() <= 1e-12
 
     def test_gimbal_lock_raises(self):
-        with pytest.raises(SingularityError):
-            make_example1().f(0.0, np.array([0.0, math.pi / 2, 0.0, 0.1, 0.2, 0.3]), np.zeros(3))
+        p = make_example1()
+        for theta in (math.pi / 2, -math.pi / 2):
+            x, lam = np.array([0.0, theta, 0.0, 0.1, 0.2, 0.3]), np.full(6, 0.1)
+            with pytest.raises(SingularityError):
+                p.f(0.0, x, np.zeros(3))
+            with pytest.raises(SingularityError):
+                p.H_x(0.0, x, lam, np.zeros(3))
+            # columns raise when any one of them is at lock
+            xs = np.random.default_rng(4).uniform(-0.5, 0.5, (6, 5))
+            xs[1, 3] = theta
+            with pytest.raises(SingularityError):
+                p.f(0.0, xs, np.zeros((3, 5)))
+            with pytest.raises(SingularityError):
+                p.H_x(0.0, xs, np.full((6, 5), 0.1), np.zeros((3, 5)))
+
+    def test_near_gimbal_lock_does_not_raise(self):
+        p = make_example1()
+        x = np.array([0.0, math.pi / 2 - 1e-6, 0.0, 0.1, 0.2, 0.3])
+        assert np.all(np.isfinite(p.f(0.0, x, np.zeros(3))))
+        assert np.all(np.isfinite(p.H_x(0.0, x, np.full(6, 0.1), np.zeros(3))))
+        xs = np.tile(x[:, None], (1, 5))
+        assert p.f(0.0, xs, np.zeros((3, 5))).shape == (6, 5)
+        assert p.H_x(0.0, xs, np.full((6, 5), 0.1), np.zeros((3, 5))).shape == (6, 5)
 
     def test_rotation_rate_consistency(self):
         # d/dt R(v(t)) must equal -[w]x R(v) when v' = E(v) w
