@@ -138,7 +138,18 @@ def micro(trees: dict) -> tuple[dict, dict]:
         query[wl] = {mode: {side: {stat: quartiles([r["query"][wl][mode][stat] for r in rounds[side]])
                                    for stat in ("p50_ms", "p90_ms")} for side in trees}
                      for mode in rounds["change"][0]["query"][wl]}
+        query[wl]["p50_ratios"] = p50_ratios(query[wl])
     return hold, query
+
+
+def p50_ratios(table: dict) -> dict:
+    """Ratios of median query p50s: a hold between queries, gc off, and the change's plant against the parent's."""
+    p50 = lambda mode, side: table[mode][side]["p50_ms"]["median"]  # noqa: E731
+    return {**{f"{side}_with_hold_over_back_to_back": p50("with_hold_gc_on", side) / p50("back_to_back_gc_on", side)
+               for side in ("parent", "change")},
+            **{f"{side}_gc_off_over_gc_on_with_hold": p50("with_hold_gc_off", side) / p50("with_hold_gc_on", side)
+               for side in ("parent", "change")},
+            "change_over_parent_with_hold": p50("with_hold_gc_on", "change") / p50("with_hold_gc_on", "parent")}
 
 
 def main() -> int:

@@ -95,6 +95,7 @@ def _rk4_hold(problem: ControlProblem, t0: float, x: np.ndarray, u: np.ndarray,
         t += h
     l = problem.L(ts, xs, np.broadcast_to(u[:, None], (u.shape[0], stages)))
     z = 0.0
+    # one substep at a time, as the old loop rounded: np.sum pairs terms, and sum() compensates on Python >= 3.12
     for dz in (h / 6 * (l[0::4] + 2 * l[1::4] + 2 * l[2::4] + l[3::4])).tolist():
         z = z + dz
     return x, z
