@@ -20,6 +20,16 @@ renaming any of them breaks the benchmark without failing any other test:
   also sets errors.ProcessPoolExecutor, which nothing reads (validate maps
   through characteristics.map_chunks), and removes it again
 - mpc.simulate and mpc._rk4_hold
+- AttitudeProblem's terminal and reachable fields, which workloads.py's
+  make_smooth_field sets by keyword
+
+One value is read by default rather than by name: workloads.run_pass builds
+mpc.MpcConfig with its default horizon_mode, HorizonMode.FIXED_INITIAL, and
+workloads.check compares the MPC loop's queries with one batch evaluated at
+t = 0.  A mode derived from problem.time_in_grid would query ex3-q7's
+time-in-grid law at t = t_k instead and fail its "batch and single-point
+evaluation agree" check, while the CLI's mpc command needs TIME_IN_GRID for
+that problem: the enum has two callers that need different values.
 """
 
 import json
