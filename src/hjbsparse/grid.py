@@ -17,7 +17,9 @@ Every axis of a grid reads one 1-D table, ``table_nodes``: the delta nodes of
 levels 1..q-d+1 side by side.  The grid describes each point by its column
 in that table on every axis (``SparseGrid.cols``); its levels, offsets and
 reference coordinates are lookups of those columns, and the interpolation
-kernel and the hierarchization read the same columns.
+kernel and the hierarchization read the same columns.  The kernel reads them
+through ``SparseGrid.factors``, built at the first evaluation: each point's
+non-constant columns, with the points grouped by how many they have.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
-from typing import Iterator
+from functools import cached_property, lru_cache
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -200,14 +202,39 @@ def unit_box(d: int) -> Box:
     return Box((0.0,) * d, (1.0,) * d)
 
 
-def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """All positive integer d-tuples summing to `total`, ascending lex order."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in compositions(total - first, parts - 1):
-            yield (first,) + rest
+def level_set(d: int, q: int) -> np.ndarray:
+    """The cells' multi-indices i, |i| = d..q, as rows of a (C, d) int64 array in (|i|, i) lex order.
+
+    i is the differences of its partial sums c_1 < ... < c_d = |i| <= q, and
+    itertools.combinations yields those sums in lex order, which is i's lex
+    order; a stable sort by |i| = c_d puts the levels in turn.
+    """
+    sums = np.fromiter(chain.from_iterable(combinations(range(1, q + 1), d)), dtype=np.int64,
+                       count=math.comb(q, d) * d).reshape(-1, d)
+    sums = sums[np.argsort(sums[:, -1], kind="stable")]
+    return np.diff(sums, axis=1, prepend=0)
+
+
+@dataclass(frozen=True)
+class FactorLayout:
+    """Each grid point's non-constant factors, grouped for the evaluation kernel.
+
+    A point's basis is the product over the axes k of the delta basis of its
+    table column c_k, which the kernel reads at row k * N_R + c_k of a table
+    of the d axes' columns stacked (N_R = node_count(family, ref_level)).
+    For the midpoint families column 0 is level 1's single node, whose basis
+    is the constant 1, so a point's factors are its axes at another column,
+    in axis order; the centre point, at column 0 on every axis, keeps axis
+    0's constant entry 0, so that every point has at least one factor.
+    ``order`` lists the point ids by their number of factors, most first
+    (stable, so ids ascend within a group), and ``entries[j]`` holds the
+    j-th factor of the first len(entries[j]) points of that order: the
+    points with more than j factors.  The classic family has no constant
+    column, and its layout is every axis of every point in grid order.
+    """
+
+    order: np.ndarray
+    entries: tuple[np.ndarray, ...]
 
 
 class SparseGrid:
@@ -220,9 +247,9 @@ class SparseGrid:
     ascending lexicographic offset order.
 
     The points are enumerated in bulk from the cells as one (C, d) level
-    array.  On each axis of a cell the delta count of its level is a radix;
-    the cell holds the product of its radices, and its points follow those
-    of the cells before it.  A point's rank within its cell, written in
+    array, ``level_set``.  On each axis of a cell the delta count of its
+    level is a radix; the cell holds the product of its radices, and its
+    points follow those of the cells before it.  A point's rank within its cell, written in
     row-major mixed-radix digits, is its 0-based offset on every axis:
     digit k is ``rank // stride_k % radix_k``, with stride_k the product of
     the radices after axis k.
@@ -240,15 +267,12 @@ class SparseGrid:
         self.q = q
         self.domain = domain
 
-        cells = []
-        for l in range(d, q + 1):
-            cells.extend(compositions(l, d))
-        self.cells = cells
+        levels = level_set(d, q)
+        self.cells = list(map(tuple, levels.tolist()))
 
         # the table columns of level i run from first[i - 1] to first[i] - 1
         counts = np.array([delta_count(family, i) for i in range(1, self.ref_level + 1)], dtype=np.int64)
         first = np.concatenate([[0], np.cumsum(counts)])
-        levels = np.array(cells, dtype=np.int64)
         radix = counts[levels - 1]
         stride = np.ones_like(radix)
         stride[:, :-1] = np.cumprod(radix[:, :0:-1], axis=1)[:, ::-1]
@@ -259,12 +283,30 @@ class SparseGrid:
         self.levels = np.repeat(levels, size, axis=0)
         self.offsets = digit + 1
         self.ref = table_nodes(family, self.ref_level)[self.cols]
-        self.phys = domain.to_phys(self.ref)
+        # Box.to_phys without its bounds check: ref is in [0, 1] by construction
+        self.phys = domain.lo + self.ref * domain.width
         for arr in (self.cols, self.levels, self.offsets, self.ref, self.phys):
             arr.setflags(write=False)
 
     def __len__(self) -> int:
         return self.ref.shape[0]
+
+    @cached_property
+    def factors(self) -> FactorLayout:
+        """The evaluation kernel's layout (FactorLayout), built at the first evaluation, not with the grid."""
+        n, d = self.cols.shape
+        width = node_count(self.family, self.ref_level)
+        active = self.cols != 0 if node_count(self.family, 1) == 1 else np.ones((n, d), dtype=bool)
+        active[:, 0] |= ~active.any(axis=1)              # the centre point keeps axis 0
+        count = active.sum(axis=1)
+        order = np.argsort(-count, kind="stable")
+        # k * width + column rises with k, so a sort puts a point's factors first, in axis order
+        compact = np.sort(np.where(active, self.cols + width * np.arange(d), d * width), axis=1)[order]
+        more_than = n - np.cumsum(np.bincount(count, minlength=d + 1))[:-1]  # points with > j factors
+        entries = tuple(compact[:size, j].copy() for j, size in enumerate(more_than.tolist()) if size)
+        for a in (order, *entries):
+            a.setflags(write=False)
+        return FactorLayout(order, entries)
 
     @property
     def ref_level(self) -> int:

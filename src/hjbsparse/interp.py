@@ -7,9 +7,15 @@ reads the 1-D table of the delta nodes of levels 1..q-d+1 side by side
 (``grid.table_nodes``), and ``SparseGrid.cols`` holds each point's column in
 it.  One kernel evaluates the interpolant.  For a block of query rows it
 evaluates the basis of every table column at every coordinate of the block
-in one pass (``_delta_table`` on all d axes stacked), gathers the grid's
-columns, multiplies the gathered columns across the axes and takes one
-product with the surpluses.
+in one pass (``_delta_table`` on all d axes stacked), gathers each point's
+factors, multiplies them and takes one product with the surpluses.  For the
+CGL and modified families the level-1 basis is the constant 1, and a
+point's factor on an axis at level 1 is never gathered: ``SparseGrid.factors``
+orders the points by their number of non-constant factors, most first, so
+that the points with a j-th factor are a prefix of that order and each
+factor is one gather into a buffer and one multiply.  The centre point keeps
+one constant factor, and the classic family, with no constant column, keeps
+all d.  Each ``Interpolant`` keeps its surpluses in that order too.
 
 The surpluses are fitted by unidirectional hierarchization (Bungartz &
 Griebel, "Sparse grids", Acta Numerica 13, 2004).  Along axis k, the points
@@ -30,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -39,11 +45,13 @@ from .grid import NodeFamily, SparseGrid, delta_count, delta_positions, node_cou
 
 _NODE_HIT = 1e-14
 # Entries (query rows x grid points) per block of the evaluation kernel.  A
-# larger budget buys no speed and costs resident memory: fitting and
-# querying 1,000 points on CGL d=6 q=10 (single-threaded BLAS) peaks at
-# 66 MB with 2**16 and at 81 MB with 2**20, and the query takes 10 ms
-# against 23 ms.
-_CHUNK = 2**16
+# block's buffers and table must stay small enough for the allocator to
+# reuse them across calls: fitting and querying 1,000 points on CGL d=6 q=10
+# (single-threaded BLAS, 2-core Xeon) peaks at 64 MB with 2**15, 65 MB with
+# 2**16 and 84 MB with 2**20, and the query takes 5.0, 4.6 and 9.0 ms; on
+# d=4 q=7 (137 points, 3 components), where a block holds hundreds of rows,
+# the query takes 0.9, 1.7 and 2.0 ms.
+_CHUNK = 2**15
 _LEBESGUE_SAMPLES = 4096           # Lebesgue function samples per node interval
 
 
@@ -219,20 +227,38 @@ def _delta_table(family: NodeFamily, ref_level: int, x: np.ndarray) -> np.ndarra
 
 
 def _eval_surpluses(grid: SparseGrid, surpluses: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Sum of surplus x tensor delta basis over the grid points, at pts."""
-    n = len(grid)
-    R = grid.ref_level
-    cols = grid.cols
+    """Sum of surplus x tensor delta basis over the grid points, at pts.
+
+    The surpluses are in the order of grid.factors.  Each block of query rows
+    gets one table of every axis's columns, stacked factor-major: row
+    k * N_R + c holds column c of axis k at every query of the block, so each
+    factor gather copies whole rows.  The points' first factors fill the
+    product buffer, each later factor is gathered for the points that have
+    it, a prefix of the order, and multiplied in, and one matrix product
+    with the surpluses finishes the block.  The constant level-1 factors are
+    never gathered.
+    """
+    layout = grid.factors
+    first, later = layout.entries[0], layout.entries[1:]
+    n, d = len(grid), grid.d
     out = np.empty((pts.shape[0],) + surpluses.shape[1:])
-    rows = max(16, _CHUNK // n)
+    rows = min(max(16, _CHUNK // n), max(pts.shape[0], 1))
+    # allocated once per call: fresh (rows x n) arrays per block cost a page fault per 4 kB
+    prod = np.empty(rows * n)
+    gathered = np.empty(rows * len(later[0]) if later else 0)
     for lo in range(0, pts.shape[0], rows):
         block = pts[lo : lo + rows]
-        # one table for every axis at once: row k * len(block) + r is axis k of query r
-        table = _delta_table(grid.family, R, block.T.ravel()).reshape(grid.d, len(block), -1)
-        prod = table[0][:, cols[:, 0]]
-        for k in range(1, grid.d):
-            prod *= table[k][:, cols[:, k]]
-        out[lo : lo + rows] = prod @ surpluses
+        b = len(block)
+        table = _delta_table(grid.family, grid.ref_level, block.T.ravel())
+        table = table.reshape(d, b, -1).transpose(0, 2, 1).reshape(-1, b)
+        p = prod[: b * n].reshape(n, b)
+        # mode="clip": with the default "raise" numpy gathers into a temporary and copies it to out
+        np.take(table, first, axis=0, out=p, mode="clip")
+        for entries in later:
+            g = gathered[: b * len(entries)].reshape(len(entries), b)
+            np.take(table, entries, axis=0, out=g, mode="clip")
+            p[: len(entries)] *= g
+        np.matmul(p.T, surpluses, out=out[lo : lo + b])
     return out
 
 
@@ -243,10 +269,15 @@ class Interpolant:
     grid: SparseGrid
     surpluses: np.ndarray
 
+    @cached_property
+    def _grouped(self) -> np.ndarray:
+        """The surpluses in the kernel's point order, grid.factors.order; taken at the first evaluation."""
+        return self.surpluses[self.grid.factors.order]
+
     def eval(self, x) -> np.ndarray | float:
         """Evaluate at reference point(s) in [0,1]^d; vector fields componentwise."""
         pts, single = _check_ref_points(x, self.grid.d)
-        return _unwrap(_eval_surpluses(self.grid, self.surpluses, pts), single)
+        return _unwrap(_eval_surpluses(self.grid, self._grouped, pts), single)
 
 
 @lru_cache(maxsize=None)

@@ -1,14 +1,25 @@
 """The per-cell enumeration: an independent reference for SparseGrid's point arrays.
 
-enumerate_grid lists the points cell by cell, one np.meshgrid over the
-table columns of each cell's delta levels, the way SparseGrid enumerated
-them before it derived every point's columns from the (C, d) level array
-at once.  The tests require the two to agree byte for byte.
+enumerate_grid lists the cells with a recursive composition generator and
+the points cell by cell, one np.meshgrid over the table columns of each
+cell's delta levels, the way SparseGrid enumerated them before it derived
+the level array from combinations of cut points and every point's columns
+from that array at once.  The tests require the two to agree byte for byte.
 """
 
 import numpy as np
 
-from hjbsparse.grid import compositions, delta_count, table_nodes
+from hjbsparse.grid import delta_count, table_nodes
+
+
+def compositions(total: int, parts: int):
+    """All positive integer d-tuples summing to `total`, ascending lex order."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(1, total - parts + 2):
+        for rest in compositions(total - first, parts - 1):
+            yield (first,) + rest
 
 
 def enumerate_grid(family, d: int, q: int, domain) -> dict:

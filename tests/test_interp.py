@@ -35,6 +35,28 @@ def column_levels(family: NodeFamily, ref_level: int) -> np.ndarray:
     return np.repeat(np.arange(1, ref_level + 1), [delta_count(family, lvl) for lvl in range(1, ref_level + 1)])
 
 
+def full_product_eval(it, pts: np.ndarray) -> np.ndarray:
+    """Every point's basis as the product of all d of its table columns, in grid order: the kernel
+    before it skipped the constant level-1 factors."""
+    g = it.grid
+    prod = np.prod([_delta_table(g.family, g.ref_level, pts[:, k])[:, g.cols[:, k]] for k in range(g.d)], axis=0)
+    return prod @ it.surpluses
+
+
+def edge_points(g, rng, n: int) -> np.ndarray:
+    """Random points of the cube mixed with grid nodes, exact 0.5 coordinates, 0.5 +- a few 1e-15,
+    the cube's faces and table nodes."""
+    pts = rng.uniform(0, 1, (6 * n, g.d))
+    some = lambda: rng.uniform(size=(n, g.d)) < 0.5  # noqa: E731
+    pts[:n] = g.ref[rng.choice(len(g), n)]
+    pts[n : 2 * n, 0] = 0.5
+    pts[2 * n : 3 * n][some()] = 0.5
+    pts[3 * n : 4 * n] = np.where(some(), 0.5 + rng.choice([-3e-15, -1e-15, 1e-15, 3e-15], (n, g.d)), pts[3 * n : 4 * n])
+    pts[4 * n : 5 * n] = np.where(some(), rng.choice([0.0, 1.0], (n, g.d)), pts[4 * n : 5 * n])
+    pts[5 * n :] = rng.choice(table_nodes(g.family, g.ref_level), (n, g.d))
+    return pts
+
+
 class TestBasis:
     def test_classic_level1_published_labels(self):
         # published a^1_1 = x and a^1_2 = 1 - x peak at 1 and 0: in ascending node order 1 - x, x
@@ -254,15 +276,17 @@ class TestEval:
         for k in range(3):
             assert np.abs(got[:, k] - np.asarray(singles[k].eval(pts))).max() < 1e-13
 
-    def test_batch_equals_single_queries_across_blocks(self):
-        # 1,457 points: the kernel evaluates 44 query rows per block, so 100 rows span three blocks
-        g = build_grid(NodeFamily.CGL, 6, 10)
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_batch_equals_single_queries_across_blocks(self, family):
+        # CGL's 1,457 points: the kernel evaluates 22 query rows per block, so 120 rows span six blocks
+        g = build_grid(family, 6, 10)
         z = g.ref @ np.linspace(0.5, 1.7, 6)
         it = fit_hierarchical(g, np.stack([np.sin(2.0 * z), np.exp(-(g.ref**2).sum(axis=1))], axis=1))
-        pts = np.random.default_rng(8).uniform(0, 1, (100, 6))
+        pts = edge_points(g, np.random.default_rng(8), 20)
         batch = np.asarray(it.eval(pts))
         singles = np.array([it.eval(p) for p in pts])
         assert np.abs(batch - singles).max() <= 1e-12
+        assert it.eval(np.empty((0, 6))).shape == (0, 2)
 
     def test_out_of_cube_raises(self):
         g = build_grid(NodeFamily.CLASSIC, 2, 4)
@@ -275,6 +299,72 @@ class TestEval:
         it = fit_hierarchical(g, np.zeros(len(g)))
         with pytest.raises(OutOfDomainError):
             it.eval([float("nan"), 0.5])
+
+
+class TestKernel:
+    """The evaluation kernel, which gathers only each point's non-constant factors."""
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("d, q", [(1, 8), (2, 8), (4, 8), (6, 9)])
+    def test_matches_the_combination_formula(self, family, d, q):
+        g = build_grid(family, d, q)
+        rng = np.random.default_rng(31 + d)
+        z = g.ref @ np.linspace(0.5, 1.7, d)
+        f = np.stack([np.sin(2.0 * z) + 1.5, np.exp(-(g.ref**2).sum(axis=1))], axis=1)
+        it = fit_hierarchical(g, f)
+        pts = edge_points(g, rng, 10)
+        want = np.asarray(eval_combination(g, f, pts))
+        got = np.asarray(it.eval(pts))
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("d, q", [(1, 9), (3, 8), (6, 10)])
+    def test_matches_the_product_of_every_factor(self, family, d, q):
+        g = build_grid(family, d, q)
+        rng = np.random.default_rng(41 + d)
+        it = fit_hierarchical(g, rng.uniform(-1.0, 1.0, (len(g), 3)))
+        pts = edge_points(g, rng, 20)
+        want = full_product_eval(it, pts)
+        assert np.abs(np.asarray(it.eval(pts)) - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("family", [NodeFamily.MODIFIED, NodeFamily.CGL])
+    def test_level1_column_is_exactly_one(self, family):
+        # the kernel skips these factors, so they must be exactly 1.0, not close to it
+        x = np.random.default_rng(12).uniform(0.0, 1.0, 10_000)
+        step = np.array([-1.0, -1.0 + 1e-3, -0.5, 0.5, 1.0 - 1e-3, 1.0, 1.0 + 1e-3])
+        # within, at and just beyond _NODE_HIT of every node of the table, the centre included
+        edge = (table_nodes(family, 9)[:, None] + _NODE_HIT * step).ravel()
+        edge = np.clip(np.concatenate([edge, [np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0)]]), 0.0, 1.0)
+        for R in REF_LEVELS:
+            assert np.all(_delta_table(family, R, x)[:, 0] == 1.0)
+            assert np.all(_delta_table(family, R, edge)[:, 0] == 1.0)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("d, q", [(1, 1), (1, 6), (3, 3), (3, 8), (6, 9)])
+    def test_layout_holds_each_points_non_constant_columns(self, family, d, q):
+        g = build_grid(family, d, q)
+        layout = g.factors
+        width = len(table_nodes(family, g.ref_level))
+        assert np.array_equal(np.sort(layout.order), np.arange(len(g)))
+        sizes = [len(e) for e in layout.entries]
+        assert sizes[0] == len(g) and sizes == sorted(sizes, reverse=True)
+        constant = family is not NodeFamily.CLASSIC
+        for rank, p in enumerate(layout.order):
+            got = [(int(e[rank]) // width, int(e[rank]) % width) for e in layout.entries if rank < len(e)]
+            want = [(k, int(c)) for k, c in enumerate(g.cols[p]) if c != 0 or not constant] or [(0, 0)]
+            assert got == want
+        # within a group the ids ascend
+        count = np.array([sum(rank < s for s in sizes) for rank in range(len(g))])
+        for m in np.unique(count):
+            assert np.all(np.diff(layout.order[count == m]) > 0)
+
+    def test_build_grid_does_not_build_the_layout(self):
+        g = build_grid(NodeFamily.CGL, 4, 7)
+        assert "factors" not in vars(g)
+        it = fit_hierarchical(g, np.ones(len(g)))
+        assert "factors" not in vars(g)
+        assert it.eval(np.full(4, 0.3)) == pytest.approx(1.0, abs=1e-14)
+        assert "factors" in vars(g)
 
 
 class TestCombination:
