@@ -249,10 +249,10 @@ class SparseGrid:
     The points are enumerated in bulk from the cells as one (C, d) level
     array, ``level_set``.  On each axis of a cell the delta count of its
     level is a radix; the cell holds the product of its radices, and its
-    points follow those of the cells before it.  A point's rank within its cell, written in
-    row-major mixed-radix digits, is its 0-based offset on every axis:
-    digit k is ``rank // stride_k % radix_k``, with stride_k the product of
-    the radices after axis k.
+    points follow those of the cells before it.  A point's rank within its
+    cell, written in row-major mixed-radix digits, is its 0-based offset on
+    every axis: digit k is ``rank // stride_k % radix_k``, with stride_k the
+    product of the radices after axis k.
     """
 
     def __init__(self, family: NodeFamily, d: int, q: int, domain: Box):

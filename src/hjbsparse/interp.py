@@ -47,10 +47,10 @@ _NODE_HIT = 1e-14
 # Entries (query rows x grid points) per block of the evaluation kernel.  A
 # block's buffers and table must stay small enough for the allocator to
 # reuse them across calls: fitting and querying 1,000 points on CGL d=6 q=10
-# (single-threaded BLAS, 2-core Xeon) peaks at 64 MB with 2**15, 65 MB with
-# 2**16 and 84 MB with 2**20, and the query takes 5.0, 4.6 and 9.0 ms; on
-# d=4 q=7 (137 points, 3 components), where a block holds hundreds of rows,
-# the query takes 0.9, 1.7 and 2.0 ms.
+# (6 components, single-threaded BLAS, 2-core Xeon) peaks at 64 MB with
+# 2**15, 65 MB with 2**16 and 84 MB with 2**20, and the query takes 5.0,
+# 4.5 and 8.5 ms; on d=4 q=7 (137 points, 3 components), where a block
+# holds hundreds of rows, it takes 1.0, 1.6 and 1.9 ms.
 _CHUNK = 2**15
 _LEBESGUE_SAMPLES = 4096           # Lebesgue function samples per node interval
 

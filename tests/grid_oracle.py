@@ -3,7 +3,7 @@
 enumerate_grid lists the cells with a recursive composition generator and
 the points cell by cell, one np.meshgrid over the table columns of each
 cell's delta levels, the way SparseGrid enumerated them before it derived
-the level array from combinations of cut points and every point's columns
+the level array from combinations of partial sums and every point's columns
 from that array at once.  The tests require the two to agree byte for byte.
 """
 
