@@ -233,7 +233,7 @@ class _Collocation:
     def residual(self, y: np.ndarray, f: np.ndarray) -> np.ndarray:
         y_stage = y[:, self.cols]                      # (M, K, 4)
         f_stage = f[:, self.cols]
-        quad = np.stack([np.einsum("j,mkj->mk", _A[i], f_stage) for i in range(1, 4)], axis=-1)
+        quad = np.einsum("ij,mkj->mki", _A[1:], f_stage)
         G = y_stage[:, :, 1:] - y_stage[:, :, :1] - self.h[:, None] * quad   # (M, K, 3)
         return np.concatenate([G.transpose(1, 2, 0).ravel(), self.p.bc(y[:, 0], y[:, -1])])
 
@@ -295,17 +295,17 @@ class _Collocation:
         factors = None
         for it in range(max_iter):
             if norm <= newton_tol:
-                return y, f, norm, it, True
+                return y, f, it, True
             fresh = factors is None
             if fresh:
                 try:
                     factors = _Factors(*self.jacobian(y, f))
                 except np.linalg.LinAlgError:
-                    return y, f, norm, it, False
+                    return y, f, it, False
             step = factors.step(F).T
             if not np.all(np.isfinite(step)):
                 if fresh:
-                    return y, f, norm, it, False
+                    return y, f, it, False
                 factors = None
                 continue
             alpha, improved = 1.0, False
@@ -329,9 +329,9 @@ class _Collocation:
                 alpha *= 0.5
             if not improved:
                 if fresh:
-                    return y, f, norm, it + 1, norm <= 10.0 * newton_tol
+                    return y, f, it + 1, norm <= 10.0 * newton_tol
                 factors = None
-        return y, f, norm, max_iter, norm <= 10.0 * newton_tol
+        return y, f, max_iter, norm <= 10.0 * newton_tol
 
     def interval_residuals(self, y: np.ndarray, f: np.ndarray) -> np.ndarray:
         """Max scaled residual of the collocation polynomial per interval."""
@@ -340,8 +340,8 @@ class _Collocation:
         y_left = y[:, self.cols[:, 0]]                              # (M, K)
         # the 5 sample points of every interval side by side: (M, 5, K)
         s_mid = self.mesh[:-1] + _RES_THETA[:, None] * self.h
-        y_mid = np.stack([y_left + self.h * np.einsum("j,mkj->mk", b, f_stage) for b in _RES_B], axis=1)
-        sprime = np.stack([np.einsum("j,mkj->mk", lag, f_stage) for lag in _RES_L], axis=1)
+        y_mid = y_left[:, None] + self.h * np.einsum("tj,mkj->mtk", _RES_B, f_stage)
+        sprime = np.einsum("tj,mkj->mtk", _RES_L, f_stage)
         f_mid = self.eval_f(y_mid.reshape(M, 5 * K), s_mid.ravel()).reshape(M, 5, K)
         return (np.abs(sprime - f_mid) / self.scale(y, f)[:, None, None]).max(axis=(0, 1))
 
@@ -470,7 +470,7 @@ def solve(problem: BvpProblem) -> BvpSolution:
     while True:
         meshes += 1
         coll = _Collocation(problem, mesh)
-        y_sol, f_sol, norm, iters, ok = coll.newton(y, newton_tol, _MAX_NEWTON)
+        y_sol, f_sol, iters, ok = coll.newton(y, newton_tol, _MAX_NEWTON)
         total_iters += iters
         res = coll.interval_residuals(y_sol, f_sol)
         est = float(res.max()) if len(res) else 0.0
@@ -495,7 +495,7 @@ def solve_fixed_mesh(problem: BvpProblem, mesh: np.ndarray) -> BvpSolution:
     coll = _Collocation(problem, mesh)
     y0 = _initial_y(problem, coll.s)
     newton_tol = max(1e-13, 0.01 * problem.tol)
-    y_sol, f_sol, norm, iters, ok = coll.newton(y0, newton_tol, _MAX_NEWTON)
+    y_sol, f_sol, iters, ok = coll.newton(y0, newton_tol, _MAX_NEWTON)
     res = coll.interval_residuals(y_sol, f_sol)
     status = BvpStatus.CONVERGED if ok else BvpStatus.NEWTON_DIVERGED
     return _pack_solution(coll, y_sol, f_sol, status, float(res.max()), iters, 1)

@@ -9,8 +9,10 @@ The worst-case bound multiplies the per-point solver error eps by
 
 where Lambda_i is the level-i Lebesgue constant.  Hat bases give Lambda = 1
 exactly; for CGL the primary path uses the logarithmic bound at levels >= 2
-(and the exact value 1 at the single-node level), with numerically sampled
-constants available as an alternative.
+(and the exact value 1 at the single-node level).  The alternative takes
+every level's constant from ``interp.lebesgue_constant``, which samples the
+Lebesgue function on the lower half of [0, 1] (it is symmetric about 0.5),
+re-samples around the best sample twice and inflates the maximum by 1e-10.
 
 The Monte-Carlo estimate replaces the per-point errors by uniform [-1, 1]
 draws, fits the interpolant of that error field and evaluates it at random
@@ -47,11 +49,8 @@ class BoundReport:
 def _level_lambdas(family: NodeFamily, max_level: int, mode: str) -> list[float]:
     if mode not in ("bound", "numeric"):
         raise GridSpecError(f"unknown lebesgue mode {mode!r}; expected bound|numeric")
-    if family is not NodeFamily.CGL:
-        return [1.0] * max_level
-    if mode == "bound":
-        return [1.0] + [lebesgue_bound(i) for i in range(2, max_level + 1)]
-    return [lebesgue_constant(family, i) for i in range(1, max_level + 1)]
+    return [lebesgue_bound(i) if mode == "bound" and family is NodeFamily.CGL and i >= 2
+            else lebesgue_constant(family, i) for i in range(1, max_level + 1)]
 
 
 def worst_case_coefficient(family: NodeFamily, d: int, q: int, lebesgue_mode: str = "bound") -> BoundReport:

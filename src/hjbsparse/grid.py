@@ -169,13 +169,6 @@ class Box:
         if pts.ndim == 0 or pts.shape[-1] != self.d:
             raise GridSpecError(f"expected points with {self.d} coordinates, got shape {pts.shape}")
 
-    def to_phys(self, ref: np.ndarray) -> np.ndarray:
-        ref = np.asarray(ref, dtype=float)
-        self._check_axes(ref)
-        if not np.all((ref >= -_BOUNDARY_TOL) & (ref <= 1.0 + _BOUNDARY_TOL)):
-            raise OutOfDomainError(f"reference point {ref} outside [0,1]^d")
-        return self.lo + ref * self.width
-
     def to_ref(self, phys: np.ndarray) -> np.ndarray:
         phys = np.asarray(phys, dtype=float)
         self._check_axes(phys)
@@ -283,7 +276,7 @@ class SparseGrid:
         self.levels = np.repeat(levels, size, axis=0)
         self.offsets = digit + 1
         self.ref = table_nodes(family, self.ref_level)[self.cols]
-        # Box.to_phys without its bounds check: ref is in [0, 1] by construction
+        # ref is in [0, 1] by construction, so the affine map needs no bounds check
         self.phys = domain.lo + self.ref * domain.width
         for arr in (self.cols, self.levels, self.offsets, self.ref, self.phys):
             arr.setflags(write=False)

@@ -37,7 +37,7 @@ def enumerate_grid(family, d: int, q: int, domain) -> dict:
     column_offset = np.concatenate([np.arange(1, c + 1, dtype=np.int64) for c in counts])
     ref = table_nodes(family, ref_level)[cols]
     out = {"cells": cells, "cols": cols, "levels": column_level[cols], "offsets": column_offset[cols],
-           "ref": ref, "phys": domain.to_phys(ref)}
+           "ref": ref, "phys": domain.lo + ref * domain.width}
     for name in ("cols", "levels", "offsets", "ref", "phys"):
         out[name].setflags(write=False)
     return out

@@ -5,6 +5,7 @@ import pytest
 
 import hjbsparse.bvp as bvpmod
 from hjbsparse.bvp import (
+    _A,
     _B,
     _MESH_CAP,
     _RES_B,
@@ -417,6 +418,14 @@ def per_theta_residuals(coll, y, f):
     return res
 
 
+def per_stage_residual(coll, y, f):
+    """The collocation residual with one quadrature product per stage: the reference for the single product."""
+    f_stage = f[:, coll.cols]
+    G = np.stack([y[:, coll.cols[:, i]] - y[:, coll.cols[:, 0]] - coll.h * np.einsum("j,mkj->mk", _A[i], f_stage)
+                  for i in range(1, 4)], axis=-1)
+    return np.concatenate([G.transpose(1, 2, 0).ravel(), coll.p.bc(y[:, 0], y[:, -1])])
+
+
 class TestBlockLayout:
     @pytest.mark.parametrize("make", [example1_characteristic_bvp, expsin_problem],
                              ids=["example1", "expsin"])
@@ -431,6 +440,12 @@ class TestBlockLayout:
     def test_residual_sampling_equals_the_per_theta_loop(self, make):
         coll, y, f = perturbed_collocation(make(), 8)
         assert np.array_equal(coll.interval_residuals(y, f), per_theta_residuals(coll, y, f))
+
+    @pytest.mark.parametrize("make", [example1_characteristic_bvp, expsin_problem],
+                             ids=["example1", "expsin"])
+    def test_residual_equals_the_per_stage_loop(self, make):
+        coll, y, f = perturbed_collocation(make(), 8)
+        assert np.array_equal(coll.residual(y, f), per_stage_residual(coll, y, f))
 
     def test_one_rhs_call_per_residual_sampling(self):
         problem = example1_characteristic_bvp()

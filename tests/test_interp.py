@@ -444,6 +444,18 @@ class TestLebesgue:
         vals = [lebesgue_constant(NodeFamily.CGL, i) for i in range(1, 8)]
         assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
 
+    @pytest.mark.parametrize("i, pinned", enumerate([1.0, 1.250000000125, 1.798761803502431, 2.2747307664612126,
+                                                     2.7247086774885587, 3.1681543436656034, 3.609968926801448,
+                                                     4.051375955087062], start=1))
+    def test_cgl_pinned_and_not_below_the_full_interval_maximum(self, i, pinned):
+        value = lebesgue_constant(NodeFamily.CGL, i)
+        assert value == pytest.approx(pinned, rel=1e-13, abs=0.0)
+        if 2 <= i <= 7:
+            # the routine samples [0, 0.5] only; sample every interval of [0, 1] to check the mirror
+            nodes = nodes_1d(NodeFamily.CGL, i)
+            xs = np.linspace(nodes[:-1], nodes[1:], 1001, axis=1).ravel()
+            assert value >= np.abs(x_basis_matrix(NodeFamily.CGL, i, xs)).sum(axis=1).max()
+
 
 class TestPolynomialExactness:
     def test_cgl_exact_for_total_degree_two(self):

@@ -1,8 +1,9 @@
 """The library keeps no test-only code.
 
-Every module-level function, class and constant of src/hjbsparse must be
-referenced by src/ or perfbench/ somewhere outside its own definition.  A
-helper that only tests call belongs in tests/ (as the oracles do).
+Every module-level function, class and constant of src/hjbsparse, and every
+method of its classes, must be referenced by src/ or perfbench/ somewhere
+outside its own definition.  A helper that only tests call belongs in tests/
+(as the oracles do).
 """
 
 import ast
@@ -15,7 +16,8 @@ USERS = LIBRARY + sorted((ROOT / "perfbench").glob("*.py"))
 
 
 def definitions(tree: ast.Module):
-    """(name, top-level node) of each module-level function, class and constant; dunders aside."""
+    """(name, node) of each module-level function, class and constant and each method
+    of a module-level class, node being its definition; dunders aside."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             yield node.name, node
@@ -23,6 +25,20 @@ def definitions(tree: ast.Module):
             for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
                 if isinstance(target, ast.Name) and not target.id.startswith("__"):
                     yield target.id, node
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("__"):
+                    yield sub.name, sub
+
+
+def statements(tree: ast.Module):
+    """The top-level statements, a class split into its header and its body's statements,
+    so that a method's own body can be left out of its uses without its class's."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            yield from node.decorator_list + node.bases + node.keywords + node.body
+        else:
+            yield node
 
 
 def identifiers(node: ast.AST) -> set[str]:
@@ -44,9 +60,11 @@ def identifiers(node: ast.AST) -> set[str]:
 
 def test_every_library_name_has_a_library_or_benchmark_caller():
     trees = {path: ast.parse(path.read_text()) for path in USERS}
-    # the identifiers of every top-level statement, so that a definition's own body is left out
-    uses = [(path, top, identifiers(top)) for path, tree in trees.items() for top in tree.body]
-    unused = [f"{path.relative_to(ROOT)}: {name}"
-              for path in LIBRARY for name, node in definitions(trees[path])
-              if not any(name in names for where, top, names in uses if not (where == path and top is node))]
+    uses = [(unit, identifiers(unit)) for tree in trees.values() for unit in statements(tree)]
+    unused = []
+    for path in LIBRARY:
+        for name, node in definitions(trees[path]):
+            own = {id(sub) for sub in ast.walk(node)}
+            if not any(name in names for unit, names in uses if id(unit) not in own):
+                unused.append(f"{path.relative_to(ROOT)}: {name}")
     assert unused == []
