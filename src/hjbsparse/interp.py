@@ -7,7 +7,7 @@ reads the 1-D table of the delta nodes of levels 1..q-d+1 side by side
 (``grid.table_nodes``), and ``SparseGrid.cols`` holds each point's column in
 it.  One kernel evaluates the interpolant.  For a block of query rows it
 evaluates the basis of every table column at every coordinate of the block
-in one pass (``_delta_table`` on all d axes stacked), gathers each point's
+in one pass (``_delta_table``, factor-major), gathers each point's
 factors, multiplies them and takes one product with the surpluses.  For the
 CGL and modified families the level-1 basis is the constant 1, and a
 point's factor on an axis at level 1 is never gathered: ``SparseGrid.factors``
@@ -27,9 +27,11 @@ axis.  The combination formula gives the same polynomial; the test suite
 keeps it as the reference for the fit.
 
 The piecewise-linear families use hat functions; the CGL family uses Lagrange
-polynomials over X^i evaluated in barycentric form with the analytically known
+polynomials over X^i in barycentric form with the analytically known
 Chebyshev-Lobatto weights (Berrut & Trefethen, "Barycentric Lagrange
-interpolation", SIAM Review 46, 2004), every level's formula at once.
+interpolation", SIAM Review 46, 2004).  The CGL sets are nested, so the table
+takes one reciprocal per node of X^R and every level's barycentric sum as one
+matrix product.
 """
 
 from __future__ import annotations
@@ -41,16 +43,15 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .exceptions import FitError, GridSpecError, OutOfDomainError
-from .grid import NodeFamily, SparseGrid, delta_count, delta_positions, node_count, nodes_1d, table_nodes
+from .grid import NodeFamily, SparseGrid, delta_count, node_count, nodes_1d, table_nodes
 
 _NODE_HIT = 1e-14
-# Entries (query rows x grid points) per block of the evaluation kernel.  A
-# block's buffers and table must stay small enough for the allocator to
-# reuse them across calls: fitting and querying 1,000 points on CGL d=6 q=10
-# (6 components, single-threaded BLAS, 2-core Xeon) peaks at 64 MB with
-# 2**15, 65 MB with 2**16 and 84 MB with 2**20, and the query takes 5.0,
-# 4.5 and 8.5 ms; on d=4 q=7 (137 points, 3 components), where a block
-# holds hundreds of rows, it takes 1.0, 1.6 and 1.9 ms.
+# Entries (query rows x grid points) per block of the evaluation kernel, small enough for
+# the allocator to reuse a block's buffers and table across calls.  Fitting and querying
+# 1,000 points (single-threaded BLAS, 2-core Xeon, 5 runs) at 2**14 / 2**15 / 2**16 / 2**20:
+# CGL d=4 q=7 (137 points, 3 components, hundreds of rows a block) 0.51-0.84 / 0.46-0.66 /
+# 0.79-0.86 / 1.17-1.28 ms; d=6 q=10 (1,457 points, 6 components) 4.6-6.0 / 4.3-5.6 /
+# 3.8-5.9 / 7.1-9.5 ms, peak RSS 64.4 / 64.6 / 65.1 / 81 MB.
 _CHUNK = 2**15
 _LEBESGUE_SAMPLES = 4096           # Lebesgue function samples per node interval
 
@@ -60,11 +61,9 @@ _LEBESGUE_SAMPLES = 4096           # Lebesgue function samples per node interval
 # ---------------------------------------------------------------------------
 
 def _cgl_bary_weights(n_nodes: int) -> np.ndarray:
-    # Chebyshev-Lobatto barycentric weights: (-1)^k, halved at both ends.
-    w = np.ones(n_nodes)
-    w[1::2] = -1.0
-    w[0] *= 0.5
-    w[-1] *= 0.5
+    # Chebyshev-Lobatto barycentric weights: (-1)^k, halved at both ends (1/2 for a single node)
+    w = (-1.0) ** np.arange(n_nodes)
+    w[[0, -1]] *= 0.5
     return w
 
 
@@ -138,7 +137,7 @@ def lebesgue_bound(i: int) -> float:
 # Interpolants
 # ---------------------------------------------------------------------------
 
-def _check_ref_points(x: np.ndarray, d: int) -> np.ndarray:
+def _check_ref_points(x: np.ndarray, d: int) -> tuple[np.ndarray, bool]:
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     pts = x[None, :] if single else x
@@ -163,25 +162,28 @@ def _column_levels(family: NodeFamily, ref_level: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _barycentric_layout(ref_level: int) -> tuple[np.ndarray, ...]:
-    """The CGL table's read-only layout: the nodes of X^1..X^ref_level side by side, their
-    barycentric weights, each level's start in that array, and per table column its index
-    there and its level - 1."""
-    sets = [nodes_1d(NodeFamily.CGL, lvl) for lvl in range(1, ref_level + 1)]
-    starts = np.cumsum([0] + [len(s) for s in sets[:-1]])
-    select = np.concatenate([starts[lvl - 1] + delta_positions(NodeFamily.CGL, lvl) - 1
-                             for lvl in range(1, ref_level + 1)])
-    layout = (np.concatenate(sets), np.concatenate([_cgl_bary_weights(len(s)) for s in sets]),
-              starts, select, _column_levels(NodeFamily.CGL, ref_level))
-    for a in layout:
+def _barycentric_matrices(ref_level: int) -> tuple[np.ndarray, np.ndarray]:
+    """The CGL table's read-only pair.  The sets are nested, so X^l is the first N_l table columns:
+    row l - 1 of W (R, N_R) holds X^l's barycentric weights there and 0 beyond, and row c of
+    E (N_R, R) holds 1 / w_c, column c's weight in its own level, in that level's column."""
+    nodes = table_nodes(NodeFamily.CGL, ref_level)
+    W = np.zeros((ref_level, len(nodes)))
+    for lvl in range(1, ref_level + 1):
+        n = node_count(NodeFamily.CGL, lvl)
+        order = np.searchsorted(nodes_1d(NodeFamily.CGL, lvl), nodes[:n])  # exact: nested nodes are bit-identical
+        W[lvl - 1, :n] = _cgl_bary_weights(n)[order]
+    cols, level = np.arange(len(nodes)), _column_levels(NodeFamily.CGL, ref_level)
+    E = np.zeros((len(nodes), ref_level))
+    E[cols, level] = 1.0 / W[level, cols]  # +-1 and +-2: exact
+    for a in (W, E):
         a.setflags(write=False)
-    return layout
+    return W, E
 
 
 @lru_cache(maxsize=None)
 def _hat_slopes(family: NodeFamily, ref_level: int) -> np.ndarray:
-    """Per table column, the slope 2^(level-1) of its hat; 0 for the modified family's constant level 1."""
-    slopes = 2.0 ** _column_levels(family, ref_level)
+    """Per table column, one row each, the slope 2^(level-1) of its hat; 0 for the modified family's level 1."""
+    slopes = 2.0 ** _column_levels(family, ref_level)[:, None]
     if family is NodeFamily.MODIFIED:
         slopes[0] = 0.0
     slopes.setflags(write=False)
@@ -189,55 +191,53 @@ def _hat_slopes(family: NodeFamily, ref_level: int) -> np.ndarray:
 
 
 def _delta_table(family: NodeFamily, ref_level: int, x: np.ndarray) -> np.ndarray:
-    """The basis of every table_nodes column at x (1-D); shape (len(x), N_ref_level).
+    """The basis of every table_nodes column at the coordinates x (d, b), factor-major: row
+    k * N_R + c of the (d * N_R, b) table holds column c at x[k].
 
-    One pass over every column of every level.  A hat column is
-    max(0, 1 - slope |x - node|).  A CGL column of level l is the barycentric
-    formula over X^l: t_k = w_k / (x - x_k) over the nodes of every level
-    side by side, each level's t summed with one reduceat, and the column's
-    t divided by its level's sum.  Where x is within _NODE_HIT of a node of
-    level l, level l's columns are the indicator of that node instead.
+    A hat column is max(0, 1 - slope |x - node|).  A CGL column c of level l is
+    w_c t_c / S_l, the barycentric formula over X^l: t = 1 / (x - node) once per
+    node of X^R, all level sums S_l = sum of w^l_k t_k over X^l as one product
+    with W, and S_l / w_c spread to the columns by one product with E.  Where x
+    is within _NODE_HIT of a node, the levels that hold it are its indicator.
     """
+    diff = np.ascontiguousarray(x)[:, None, :] - table_nodes(family, ref_level)[:, None]  # C order: rows k * N_R + c
     if family is not NodeFamily.CGL:
-        distance = np.abs(x[:, None] - table_nodes(family, ref_level))
-        return np.maximum(1.0 - distance * _hat_slopes(family, ref_level), 0.0)
-    nodes, weights, starts, select, level = _barycentric_layout(ref_level)
-    diff = x[:, None] - nodes
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = weights / diff
-        out = t[:, select] / np.add.reduceat(t, starts, axis=1)[:, level]
+        return np.maximum(1.0 - np.abs(diff) * _hat_slopes(family, ref_level), 0.0).reshape(-1, x.shape[1])
+    W, E = _barycentric_matrices(ref_level)
     hit = np.abs(diff) < _NODE_HIT
-    if hit.any():
-        on_node = np.logical_or.reduceat(hit, starts, axis=1)[:, level]
-        out[on_node] = hit[:, select][on_node]
-    return out
+    on_node = hit.any()
+    if on_node:
+        diff[hit] = _NODE_HIT  # any finite t: such levels are replaced below, and 1 / 0 would spread NaN
+    t = np.divide(1.0, diff, out=diff)
+    t /= np.matmul(E, np.matmul(W, t))
+    if on_node:
+        levels = np.matmul(E != 0, np.matmul(W != 0, hit))
+        t[levels] = hit[levels]
+    return t.reshape(-1, x.shape[1])
 
 
 def _eval_surpluses(grid: SparseGrid, surpluses: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """Sum of surplus x tensor delta basis over the grid points, at pts.
 
     The surpluses are in the order of grid.factors.  Each block of query rows
-    gets one table of every axis's columns, stacked factor-major: row
-    k * N_R + c holds column c of axis k at every query of the block, so each
-    factor gather copies whole rows.  The points' first factors fill the
-    product buffer, each later factor is gathered for the points that have
+    gets one factor-major table of every axis's columns, so each factor
+    gather copies whole rows.  The points' first factors fill the product
+    buffer, each later factor is gathered for the points that have
     it, a prefix of the order, and multiplied in, and one matrix product
     with the surpluses finishes the block.  The constant level-1 factors are
     never gathered.
     """
     layout = grid.factors
     first, later = layout.entries[0], layout.entries[1:]
-    n, d = len(grid), grid.d
+    n = len(grid)
     out = np.empty((pts.shape[0],) + surpluses.shape[1:])
     rows = min(max(16, _CHUNK // n), max(pts.shape[0], 1))
     # allocated once per call: fresh (rows x n) arrays per block cost a page fault per 4 kB
     prod = np.empty(rows * n)
     gathered = np.empty(rows * len(later[0]) if later else 0)
     for lo in range(0, pts.shape[0], rows):
-        block = pts[lo : lo + rows]
-        b = len(block)
-        table = _delta_table(grid.family, grid.ref_level, block.T.ravel())
-        table = table.reshape(d, b, -1).transpose(0, 2, 1).reshape(-1, b)
+        table = _delta_table(grid.family, grid.ref_level, pts[lo : lo + rows].T)
+        b = table.shape[1]
         p = prod[: b * n].reshape(n, b)
         # mode="clip": with the default "raise" numpy gathers into a temporary and copies it to out
         np.take(table, first, axis=0, out=p, mode="clip")

@@ -1,10 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 from combination_oracle import eval_combination
 from scipy.linalg import solve_triangular
 
 from hjbsparse.exceptions import FitError, OutOfDomainError
-from hjbsparse.grid import NodeFamily, build_grid, delta_count, delta_positions, nodes_1d, table_nodes
+from hjbsparse.grid import NodeFamily, build_grid, delta_count, delta_positions, node_count, nodes_1d, table_nodes
 from hjbsparse.interp import (
     _NODE_HIT,
     _delta_table,
@@ -25,6 +27,11 @@ def delta_basis_matrix(family: NodeFamily, i: int, x) -> np.ndarray:
     return x_basis_matrix(family, i, x)[:, delta_positions(family, i) - 1]
 
 
+def delta_table(family: NodeFamily, ref_level: int, x: np.ndarray) -> np.ndarray:
+    """interp._delta_table at the 1-D coordinates x, point-major: shape (len(x), N_ref_level)."""
+    return _delta_table(family, ref_level, np.asarray(x)[None]).T
+
+
 def reference_table(family: NodeFamily, ref_level: int, x: np.ndarray) -> np.ndarray:
     """The 1-D table built level by level: the reference for interp._delta_table."""
     return np.hstack([delta_basis_matrix(family, lvl, x) for lvl in range(1, ref_level + 1)])
@@ -39,7 +46,7 @@ def full_product_eval(it, pts: np.ndarray) -> np.ndarray:
     """Every point's basis as the product of all d of its table columns, in grid order: the kernel
     before it skipped the constant level-1 factors."""
     g = it.grid
-    prod = np.prod([_delta_table(g.family, g.ref_level, pts[:, k])[:, g.cols[:, k]] for k in range(g.d)], axis=0)
+    prod = np.prod([delta_table(g.family, g.ref_level, pts[:, k])[:, g.cols[:, k]] for k in range(g.d)], axis=0)
     return prod @ it.surpluses
 
 
@@ -60,15 +67,15 @@ def edge_points(g, rng, n: int) -> np.ndarray:
 class TestBasis:
     def test_classic_level1_published_labels(self):
         # published a^1_1 = x and a^1_2 = 1 - x peak at 1 and 0: in ascending node order 1 - x, x
-        assert _delta_table(NodeFamily.CLASSIC, 1, np.array([0.3])) == pytest.approx(np.array([[0.7, 0.3]]), abs=1e-14)
+        assert delta_table(NodeFamily.CLASSIC, 1, np.array([0.3])) == pytest.approx(np.array([[0.7, 0.3]]), abs=1e-14)
 
     def test_modified_level1_is_constant_one(self):
         xs = np.array([0.0, 0.12, 0.5, 0.99, 1.0])
-        assert np.array_equal(_delta_table(NodeFamily.MODIFIED, 1, xs), np.ones((5, 1)))
+        assert np.array_equal(delta_table(NodeFamily.MODIFIED, 1, xs), np.ones((5, 1)))
 
     def test_cgl_level2_kronecker(self):
         cols = np.eye(3)[:, delta_positions(NodeFamily.CGL, 2) - 1]
-        at_nodes = _delta_table(NodeFamily.CGL, 2, nodes_1d(NodeFamily.CGL, 2))[:, 1:]
+        at_nodes = delta_table(NodeFamily.CGL, 2, nodes_1d(NodeFamily.CGL, 2))[:, 1:]
         assert at_nodes == pytest.approx(cols, abs=1e-13)
 
     @pytest.mark.parametrize("family", FAMILIES)
@@ -79,16 +86,16 @@ class TestBasis:
             eye = np.eye(len(nodes))
             assert x_basis_matrix(family, i, nodes) == pytest.approx(eye, abs=1e-11)
             cols = eye[:, delta_positions(family, i) - 1]
-            assert _delta_table(family, i, nodes)[:, -cols.shape[1]:] == pytest.approx(cols, abs=1e-11)
+            assert delta_table(family, i, nodes)[:, -cols.shape[1]:] == pytest.approx(cols, abs=1e-11)
 
     def test_outside_support_is_zero(self):
         # the first level-4 hat, column N_3 = 5, sits at 0.125 with support [0, 0.25]
-        assert _delta_table(NodeFamily.CLASSIC, 4, np.array([0.6]))[0, 5] == 0.0
+        assert delta_table(NodeFamily.CLASSIC, 4, np.array([0.6]))[0, 5] == 0.0
 
     def test_partition_of_unity_level1(self):
         xs = np.linspace(0, 1, 17)
-        assert _delta_table(NodeFamily.CLASSIC, 1, xs).sum(axis=1) == pytest.approx(np.ones(17), abs=1e-14)
-        assert np.array_equal(_delta_table(NodeFamily.MODIFIED, 1, xs), np.ones((17, 1)))
+        assert delta_table(NodeFamily.CLASSIC, 1, xs).sum(axis=1) == pytest.approx(np.ones(17), abs=1e-14)
+        assert np.array_equal(delta_table(NodeFamily.MODIFIED, 1, xs), np.ones((17, 1)))
 
 
 class TestDeltaTable:
@@ -99,7 +106,7 @@ class TestDeltaTable:
         rng = np.random.default_rng(17)
         for R in REF_LEVELS:
             x = rng.uniform(0, 1, 400)
-            got, want = _delta_table(family, R, x), reference_table(family, R, x)
+            got, want = delta_table(family, R, x), reference_table(family, R, x)
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
             if family is not NodeFamily.CLASSIC:
                 assert np.all(got[:, 0] == 1.0)  # level 1's single node
@@ -112,7 +119,7 @@ class TestDeltaTable:
         for R in REF_LEVELS:
             nodes = table_nodes(family, R)
             x = np.clip(np.concatenate([nodes, [0.0, 0.5, 1.0], nodes + 1e-15, nodes - 1e-15]), 0.0, 1.0)
-            got, want = _delta_table(family, R, x), reference_table(family, R, x)
+            got, want = delta_table(family, R, x), reference_table(family, R, x)
             on_node = np.stack([(np.abs(x[:, None] - nodes_1d(family, lvl)) < _NODE_HIT).any(axis=1)
                                 for lvl in range(1, R + 1)], axis=1)[:, column_levels(family, R) - 1]
             if family is NodeFamily.CGL:
@@ -136,12 +143,42 @@ class TestDeltaTable:
         want = prod @ it.surpluses
         assert np.abs(np.asarray(it.eval(pts)) - want).max() <= 1e-12 * np.abs(want).max()
 
+    def test_on_node_levels_do_not_spread_into_the_block(self):
+        # at x = 0.5 level 1's barycentric sum is over the hit node alone, at 0 and 1 the hit node has
+        # weight +-1/2, and near is within _NODE_HIT of a level-R node: none may leave a NaN, an
+        # inf or a floating-point warning in the other levels or the other axes of the block
+        g = build_grid(NodeFamily.CGL, 4, 9)  # 1,105 points: 29 query rows per block
+        R = g.ref_level
+        rng = np.random.default_rng(29)
+        it = fit_hierarchical(g, np.stack([np.sin(g.ref @ rng.uniform(0.5, 2.0, 4)), g.ref.prod(axis=1)], axis=1))
+        near = table_nodes(NodeFamily.CGL, R)[-1] + 0.5 * _NODE_HIT
+        pts = rng.uniform(0, 1, (20, 4))
+        pts[0] = 0.5
+        on = (np.arange(1, 20)[:, None] + np.arange(4)) % 2 == 0
+        pts[1:][on] = np.resize([0.5, 0.0, 1.0, near], on.sum())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = np.asarray(it.eval(pts))
+            table = _delta_table(NodeFamily.CGL, R, pts.T).reshape(4, -1, len(pts))
+        assert np.all(np.isfinite(got)) and np.all(np.isfinite(table))
+        levels = column_levels(NodeFamily.CGL, R) - 1
+        for k in range(4):
+            want = reference_table(NodeFamily.CGL, R, pts[:, k])
+            hit = np.abs(pts[:, k, None] - table_nodes(NodeFamily.CGL, R)) < _NODE_HIT
+            on_node = np.stack([hit[:, : node_count(NodeFamily.CGL, lvl)].any(axis=1)
+                                for lvl in range(1, R + 1)], axis=1)[:, levels]
+            assert np.array_equal(table[k].T[on_node], hit[on_node])
+            assert np.array_equal(want[on_node], hit[on_node])
+        prod = np.prod([reference_table(NodeFamily.CGL, R, pts[:, k])[:, g.cols[:, k]] for k in range(4)], axis=0)
+        want = prod @ it.surpluses
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
 
 class TestHierarchizationMatrix:
     @pytest.mark.parametrize("family", FAMILIES)
     def test_delta_matrix_at_the_table_nodes_is_unit_lower_triangular(self, family):
         for R in REF_LEVELS:
-            m = _delta_table(family, R, table_nodes(family, R))
+            m = delta_table(family, R, table_nodes(family, R))
             assert np.all(np.diag(m) == 1.0)
             assert np.all(np.triu(m, 1) == 0.0)
 
@@ -336,8 +373,8 @@ class TestKernel:
         edge = (table_nodes(family, 9)[:, None] + _NODE_HIT * step).ravel()
         edge = np.clip(np.concatenate([edge, [np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0)]]), 0.0, 1.0)
         for R in REF_LEVELS:
-            assert np.all(_delta_table(family, R, x)[:, 0] == 1.0)
-            assert np.all(_delta_table(family, R, edge)[:, 0] == 1.0)
+            assert np.all(delta_table(family, R, x)[:, 0] == 1.0)
+            assert np.all(delta_table(family, R, edge)[:, 0] == 1.0)
 
     @pytest.mark.parametrize("family", FAMILIES)
     @pytest.mark.parametrize("d, q", [(1, 1), (1, 6), (3, 3), (3, 8), (6, 9)])
