@@ -51,7 +51,7 @@ _NODE_HIT = 1e-14
 # 1,000 points (single-threaded BLAS, 2-core Xeon, 5 runs) at 2**14 / 2**15 / 2**16 / 2**20:
 # CGL d=4 q=7 (137 points, 3 components, hundreds of rows a block) 0.51-0.84 / 0.46-0.66 /
 # 0.79-0.86 / 1.17-1.28 ms; d=6 q=10 (1,457 points, 6 components) 4.6-6.0 / 4.3-5.6 /
-# 3.8-5.9 / 7.1-9.5 ms, peak RSS 64.4 / 64.6 / 65.1 / 81 MB.
+# 3.8-5.9 / 7.1-9.5 ms, peak RSS 64.4 / 64.5 / 65.1 / 81 MB.
 _CHUNK = 2**15
 _LEBESGUE_SAMPLES = 4096           # Lebesgue function samples per node interval
 
